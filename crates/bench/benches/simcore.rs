@@ -8,9 +8,9 @@
 //! has its own bench (`toolchain_perf`), and decode is load-time work
 //! by design (`DecodedProgram` is built when a program is loaded and
 //! shared across every run of it, exactly as the sweep engine and the
-//! timed loop here use it). Coupled mode additionally gets one row per
-//! oracle engine (`event`, `scan`) so the decoded backend's margin is
-//! itself regression-gated. Also times (b) the full Table-2 grid
+//! timed loop here use it). Coupled mode additionally gets a row on the
+//! `scan` oracle engine so the decoded backend's margin is itself
+//! regression-gated. Also times (b) the full Table-2 grid
 //! through the sweep engine — serial vs parallel wall-clock, per-shard
 //! wall-clock, and cold/warm cache hit/miss counts, asserting every
 //! path produces bit-identical rows. Results are written to
@@ -88,27 +88,26 @@ fn bench(c: &mut Criterion) {
                         m.run(CYCLE_LIMIT).unwrap()
                     })
                 });
-                // Cross-engine rows: the oracle engines on the mode the
-                // decoded backend was built to accelerate. Their ids end
+                // Cross-engine row: the scan oracle on the mode the
+                // decoded backend was built to accelerate. Its id ends
                 // with the engine name, so `/Coupled` floors don't catch
-                // them.
+                // it.
                 if mode == MachineMode::Coupled {
-                    for engine in [EngineKind::Event, EngineKind::Scan] {
-                        let eid = format!("{id}/{}", engine.name());
-                        cycles_per_case.push((
-                            format!("simcore/{eid}"),
-                            out.stats.cycles,
-                            engine.name(),
-                        ));
-                        g.bench_function(&eid, |bench| {
-                            bench.iter(|| {
-                                let mut m = Machine::from_decoded(Arc::clone(&code)).unwrap();
-                                m.set_engine(engine);
-                                (b.setup)(&mut m).unwrap();
-                                m.run(CYCLE_LIMIT).unwrap()
-                            })
-                        });
-                    }
+                    let engine = EngineKind::Scan;
+                    let eid = format!("{id}/{}", engine.name());
+                    cycles_per_case.push((
+                        format!("simcore/{eid}"),
+                        out.stats.cycles,
+                        engine.name(),
+                    ));
+                    g.bench_function(&eid, |bench| {
+                        bench.iter(|| {
+                            let mut m = Machine::from_decoded(Arc::clone(&code)).unwrap();
+                            m.set_engine(engine);
+                            (b.setup)(&mut m).unwrap();
+                            m.run(CYCLE_LIMIT).unwrap()
+                        })
+                    });
                 }
             }
         }

@@ -26,9 +26,10 @@ pub fn quick_mode() -> bool {
 pub struct BaselineCase {
     /// `simcore/<Bench>/<Mode>` identifier.
     pub id: String,
-    /// Issue engine that produced the case (`decoded` / `event` /
-    /// `scan`). Schema-v3 documents predate the field; they parse as
-    /// `decoded` — in v3 the default engine was the only one measured.
+    /// Issue engine that produced the case (`decoded` / `scan`; older
+    /// baselines may also name the retired `event` engine). Schema-v3
+    /// documents predate the field; they parse as `decoded` — in v3 the
+    /// default engine was the only one measured.
     pub engine: String,
     /// Mean wall time per full pipeline run, nanoseconds.
     pub mean_ns: u64,

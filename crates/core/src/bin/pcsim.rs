@@ -3,7 +3,7 @@
 //! ```text
 //! pcsim run <matrix|fft|lud|model> [--mode seq|sts|ideal|tpe|coupled]
 //!           [--interconnect full|tri|dual|single|bus] [--memory min|mem1|mem2]
-//!           [--seed N] [--lockstep] [--priority] [--engine decoded|event|scan]
+//!           [--seed N] [--lockstep] [--priority] [--engine decoded|scan]
 //! pcsim profile <matrix|fft|lud|model> <seq|sts|ideal|tpe|coupled>
 //!           [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority]
 //!           [--engine E] [--jsonl FILE] [--chrome FILE]
@@ -38,7 +38,7 @@ use pc_isa::{ArbitrationPolicy, InterconnectScheme, MachineConfig, MemoryModel, 
 fn usage() -> ! {
     eprintln!(
         "usage:
-  pcsim run <matrix|fft|lud|model> [--mode M] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority] [--engine decoded|event|scan]
+  pcsim run <matrix|fft|lud|model> [--mode M] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority] [--engine decoded|scan]
   pcsim profile <matrix|fft|lud|model> <seq|sts|ideal|tpe|coupled> [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority] [--engine E] [--jsonl FILE] [--chrome FILE]
   pcsim explain <matrix|fft|lud|model> [--modes seq,coupled] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority]
   pcsim compile <source.pc> [--single]
@@ -92,7 +92,12 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn parse_engine(args: &[String]) -> coupling::EngineKind {
     flag_value(args, "--engine")
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
+        .map(|s| {
+            s.parse().unwrap_or_else(|e| {
+                eprintln!("pcsim: {e}");
+                usage()
+            })
+        })
         .unwrap_or_default()
 }
 

@@ -127,9 +127,9 @@ pub struct Observe {
     /// Write a Chrome `trace_event` array (Perfetto-loadable) to this
     /// file.
     pub chrome: Option<PathBuf>,
-    /// Which issue engine to simulate with. All engines produce
-    /// bit-identical results; this only trades host cost for
-    /// simplicity (the decoded default is the fastest).
+    /// Which issue engine to simulate with. Both engines produce
+    /// bit-identical results; the decoded default is the fast one and
+    /// scan is the independent oracle.
     pub engine: EngineKind,
     /// Collect the host-side phase profile (sampled wall timers and
     /// wake-repair event counters; see [`pc_sim::HostProfile`]). Purely

@@ -1,6 +1,6 @@
 //! Decode-once program representation: the load-time translation of a
-//! scheduled [`Program`] into dense, flat per-slot records the execution
-//! engines dispatch over without re-walking the program.
+//! scheduled [`Program`] into dense, flat per-slot records the decoded
+//! engine dispatches over without re-walking the program.
 //!
 //! [`DecodedProgram::decode`] validates the program once and then
 //! translates every segment row into [`DecodedOp`]s:
@@ -11,10 +11,15 @@
 //!   operand lists are flattened into fixed inline arrays — issue never
 //!   walks a heap `Vec` or re-matches an `Operand` enum;
 //! * each slot carries its compact [`OpTag`], its unit's **latency**,
-//!   packed source/destination/touch **masks**, its memory-ordering
-//!   rule, and the sibling-unit **kill set** its issue can unready;
-//! * branch targets are pre-resolved into [`DecBranch`], so completion
+//!   packed source/destination **masks**, its memory-ordering rule, and
+//!   the sibling-unit **kill set** its issue can unready;
+//! * control transfers are pre-resolved into [`SlotAction`], so issue
 //!   never dereferences the program or clones a [`pc_isa::BranchOp`].
+//!
+//! Only the decoded engine dispatches through the slot records; the
+//! scan oracle reads each [`pc_isa::Operation`] straight from the
+//! [`Program`], so the differential tests compare decode against
+//! something decode cannot have influenced.
 //!
 //! The layout is flat: one `ops` array over the whole program, rows as
 //! `(op_base, n_slots)` windows, and a `unit_slots` table mapping
@@ -38,8 +43,6 @@ pub(crate) type RegList = InlineVec<RegId, 4>;
 /// Packed operand mask of one slot: `(word, bits)` pairs under the
 /// segment's [`bit_layout`] (an op's few operands rarely span words).
 pub(crate) type MaskList = InlineVec<MaskWord, 3>;
-/// Copied source operands of one slot (fork argument lists spill).
-pub(crate) type SrcList = InlineVec<pc_isa::Operand, 4>;
 /// Flat-index source operands of one slot.
 pub(crate) type DecSrcList = InlineVec<DecSrc, 4>;
 /// Flat-index destination list of one slot.
@@ -93,27 +96,16 @@ pub(crate) enum OrderRule {
     },
 }
 
-/// What issuing and completing a slot does — the dispatch-class
-/// projection of its [`OpKind`] shared by every engine (the decoded
-/// engine further refines ALU completion through [`DecodedOp::tag`]).
-#[derive(Debug, Clone, Copy)]
+/// What issuing a slot does — its [`OpKind`] with the ALU opcode left
+/// to [`DecodedOp::tag`] and control transfers pre-resolved, so the
+/// decoded engine never clones the program's [`BranchOp`].
+#[derive(Debug, Clone)]
 pub(crate) enum SlotAction {
-    Int(pc_isa::IntOp),
-    Float(pc_isa::FloatOp),
+    /// Integer or floating-point op, evaluated through its tag.
+    Alu,
     Mem(MemOp),
     /// Completes at issue; records a probe record with this id.
     Probe(u32),
-    /// Any other control transfer: enters the branch pipeline.
-    Branch,
-}
-
-/// A control transfer pre-resolved at decode time: the decoded engine's
-/// completion path reads this instead of cloning the program's
-/// [`BranchOp`].
-#[derive(Debug, Clone)]
-pub(crate) enum DecBranch {
-    /// Not a pipelined control transfer.
-    None,
     Halt,
     Jmp(u32),
     Br {
@@ -122,7 +114,7 @@ pub(crate) enum DecBranch {
     },
     Fork {
         segment: SegmentId,
-        /// Shared so completion clones a pointer, not the list.
+        /// Shared so issue clones a pointer, not the list.
         arg_dsts: Arc<[RegId]>,
     },
 }
@@ -137,7 +129,7 @@ pub(crate) struct DecodedOp {
     pub latency: u64,
     /// Compact opcode tag (the decoded engine's jump-table index).
     pub tag: OpTag,
-    /// Dispatch class shared with the oracle engines.
+    /// What issue does with the gathered operands.
     pub action: SlotAction,
     /// Source-register presence mask.
     pub src: MaskList,
@@ -149,9 +141,6 @@ pub(crate) struct DecodedOp {
     pub src01: [u64; 2],
     /// See [`Self::src01`].
     pub dst01: [u64; 2],
-    /// Union of `src` and `dst` — the registers whose writebacks can
-    /// change this slot's grade.
-    pub touch: MaskList,
     /// Memory-ordering rule beyond register readiness.
     pub order: OrderRule,
     /// True when `order` is anything but [`OrderRule::None`] — readiness
@@ -159,12 +148,9 @@ pub(crate) struct DecodedOp {
     pub has_order: bool,
     /// Units of sibling slots whose readiness this slot's issue can
     /// destroy: those reading or writing a register this slot writes.
-    /// Units ≥ 64 are omitted (the cached engines are disabled there).
+    /// Units ≥ 64 are omitted (the decoded engine is disabled there).
     pub kills: u64,
-    /// The operation's source operands as the program spells them
-    /// (copied out once) — the oracle engines' gather list.
-    pub srcs_ops: SrcList,
-    /// The same sources pre-resolved to flat indices / unboxed
+    /// The operation's sources pre-resolved to flat indices / unboxed
     /// immediates — the decoded engine's gather list.
     pub srcs: DecSrcList,
     /// The operation's destination registers (writeback currency).
@@ -177,9 +163,6 @@ pub(crate) struct DecodedOp {
     /// precomputed so uncontended retirement never consults the
     /// configuration.
     pub wb_remote: u8,
-    /// Pre-resolved control transfer (`None` for non-branch slots and
-    /// probes).
-    pub branch: DecBranch,
 }
 
 /// One instruction row: a window into [`DecodedProgram::ops`].
@@ -195,8 +178,9 @@ pub(crate) struct DecRow {
     /// Units (< 64) of slots carrying an [`OrderRule`] other than
     /// `None` — the slots a memory issue can unready.
     pub ordered_units: u64,
-    /// Union of every slot's touch mask: a writeback whose bit misses
-    /// this union cannot change any slot's grade, so the targeted
+    /// Union of every slot's source and destination masks — the
+    /// registers whose writebacks can change some slot's grade. A
+    /// writeback whose bit misses this union cannot, so the targeted
     /// readiness repair exits without walking the row.
     pub touch_union: MaskList,
     /// `touch_union`'s words 0 and 1 as fixed words, so the repair's
@@ -304,12 +288,6 @@ impl DecodedProgram {
                         push_mask_bit(&mut scratch, &base, *d);
                     }
                     let dst: MaskList = scratch.iter().copied().collect();
-                    // `scratch` still holds the dst bits; merging the
-                    // src bits on top yields the union.
-                    for r in op.src_regs() {
-                        push_mask_bit(&mut scratch, &base, r);
-                    }
-                    let touch: MaskList = scratch.iter().copied().collect();
                     let addr_operand = |o: &pc_isa::Operand| match o {
                         pc_isa::Operand::Reg(r) => AddrOperand::Reg(flat(*r)),
                         pc_isa::Operand::ImmInt(v) => AddrOperand::Imm(*v),
@@ -333,24 +311,19 @@ impl DecodedProgram {
                         _ => OrderRule::None,
                     };
                     let action = match &op.kind {
-                        OpKind::Int(i) => SlotAction::Int(*i),
-                        OpKind::Float(f) => SlotAction::Float(*f),
+                        OpKind::Int(_) | OpKind::Float(_) => SlotAction::Alu,
                         OpKind::Mem(m) => SlotAction::Mem(*m),
                         OpKind::Branch(BranchOp::Probe { id }) => SlotAction::Probe(*id),
-                        OpKind::Branch(_) => SlotAction::Branch,
-                    };
-                    let branch = match &op.kind {
-                        OpKind::Branch(BranchOp::Halt) => DecBranch::Halt,
-                        OpKind::Branch(BranchOp::Jmp { target }) => DecBranch::Jmp(*target),
-                        OpKind::Branch(BranchOp::Br { on_true, target }) => DecBranch::Br {
+                        OpKind::Branch(BranchOp::Halt) => SlotAction::Halt,
+                        OpKind::Branch(BranchOp::Jmp { target }) => SlotAction::Jmp(*target),
+                        OpKind::Branch(BranchOp::Br { on_true, target }) => SlotAction::Br {
                             on_true: *on_true,
                             target: *target,
                         },
-                        OpKind::Branch(BranchOp::Fork { segment, arg_dsts }) => DecBranch::Fork {
+                        OpKind::Branch(BranchOp::Fork { segment, arg_dsts }) => SlotAction::Fork {
                             segment: *segment,
                             arg_dsts: arg_dsts.clone().into(),
                         },
-                        _ => DecBranch::None,
                     };
                     let srcs: DecSrcList = op
                         .srcs
@@ -370,11 +343,9 @@ impl DecodedProgram {
                         dst01: unpack_two_words(&dst),
                         src,
                         dst,
-                        touch,
                         has_order: !matches!(order, OrderRule::None),
                         order,
                         kills: 0,
-                        srcs_ops: op.srcs.iter().copied().collect(),
                         srcs,
                         dsts: RegList::from_slice(&op.dsts),
                         dsts_flat: op.dsts.iter().map(|d| flat(*d)).collect(),
@@ -383,7 +354,6 @@ impl DecodedProgram {
                             .iter()
                             .filter(|d| d.cluster != config.fu(*fu).cluster)
                             .count() as u8,
-                        branch,
                     });
                 }
                 // Second pass over the row: which sibling units each
@@ -397,7 +367,7 @@ impl DecodedProgram {
                     if !matches!(s.order, OrderRule::None) && s.fu.0 < 64 {
                         ordered_units |= 1u64 << s.fu.0;
                     }
-                    for &(key, m) in s.touch.iter() {
+                    for &(key, m) in s.src.iter().chain(s.dst.iter()) {
                         if let Some(e) = scratch.iter_mut().find(|e| e.0 == key) {
                             e.1 |= m;
                         } else {

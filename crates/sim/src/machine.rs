@@ -2,7 +2,7 @@
 //! and the interconnect, and advances them cycle by cycle.
 
 use crate::decode::{
-    AddrOperand, DecBranch, DecSrc, DecodedProgram, FlatList, OrderRule, RegList, SlotAction,
+    AddrOperand, DecSrc, DecodedProgram, FlatList, OrderRule, RegList, SlotAction,
 };
 use crate::error::SimError;
 use crate::inline_vec::InlineVec;
@@ -31,36 +31,33 @@ type ValList = InlineVec<Value, 4>;
 
 /// Which issue/dispatch engine a [`Machine`] runs.
 ///
-/// All three produce **bit-identical** simulated results — RunStats and
-/// stall tables included — for every program (the differential tests pin
-/// this); they differ only in host cost:
+/// Both produce **bit-identical** simulated results — RunStats and stall
+/// tables included — for every program (the differential tests pin
+/// this); they differ only in host cost and independence:
 ///
 /// * [`EngineKind::Decoded`] (default): event-driven candidate discovery
-///   plus decode-once dispatch — flat pre-resolved operands, jump-table
-///   opcode tags, precomputed latencies ([`DecodedProgram`]).
-/// * [`EngineKind::Event`]: the readiness-bitmask engine with
-///   interpretive per-issue dispatch, kept as the first oracle.
-/// * [`EngineKind::Scan`]: the original scan-every-cycle engine that
-///   re-grades every thread × unit × slot from the program itself each
-///   cycle — the ground-truth oracle. Also disables bulk idle skipping.
+///   over per-thread readiness bitmasks plus decode-once dispatch — flat
+///   pre-resolved operands, jump-table opcode tags, precomputed
+///   latencies ([`DecodedProgram`]).
+/// * [`EngineKind::Scan`]: the scan-every-cycle oracle. It re-grades
+///   every thread × unit × slot each cycle and issues straight from the
+///   program's operations, so no decoded record steers what it
+///   simulates. Also disables bulk idle skipping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Decode-once threaded-code dispatch (default).
     #[default]
     Decoded,
-    /// Event-driven readiness cache with interpretive dispatch.
-    Event,
     /// Scan-every-cycle reference engine.
     Scan,
 }
 
 impl EngineKind {
-    /// Stable lowercase name (`decoded` / `event` / `scan`), as accepted
-    /// by `pcsim --engine` and printed in reports.
+    /// Stable lowercase name (`decoded` / `scan`), as accepted by
+    /// `pcsim --engine` and printed in reports.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Decoded => "decoded",
-            EngineKind::Event => "event",
             EngineKind::Scan => "scan",
         }
     }
@@ -72,10 +69,9 @@ impl std::str::FromStr for EngineKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "decoded" => Ok(EngineKind::Decoded),
-            "event" => Ok(EngineKind::Event),
             "scan" => Ok(EngineKind::Scan),
             other => Err(format!(
-                "unknown engine `{other}` (expected decoded, event, or scan)"
+                "unknown engine `{other}` (expected decoded or scan)"
             )),
         }
     }
@@ -151,6 +147,20 @@ enum Transfer {
     FallThrough,
 }
 
+/// What an issued slot does with its gathered operands — decided by the
+/// running engine's dispatch ([`Machine::dispatch_decoded`] or
+/// [`Machine::dispatch_scan`]), applied by the shared tail of
+/// [`Machine::issue_one`].
+#[derive(Debug)]
+enum Effect {
+    /// A memory reference to submit.
+    Mem { addr: u64, kind: RequestKind },
+    /// A probe: completes at issue.
+    Probe(u32),
+    /// An ALU result or control transfer entering the unit's pipeline.
+    Pipe(ExecPayload),
+}
+
 #[derive(Debug, Clone, Copy)]
 struct MemToken {
     thread: ThreadId,
@@ -220,7 +230,7 @@ struct Scratch {
     wb_granted: Vec<(u32, u32, u32)>,
     /// Phase B: one unit's issue candidates.
     cand: Vec<(ThreadId, usize)>,
-    /// Phase B (cached engines): per-unit candidate buckets filled by a
+    /// Phase B (decoded engine): per-unit candidate buckets filled by a
     /// single pass over the live threads.
     buckets: Vec<Vec<(ThreadId, u16)>>,
     /// Phases B/C: snapshot of live thread ids (spawn/halt mutate `live`).
@@ -513,11 +523,11 @@ impl Machine {
         &mut self.mem
     }
 
-    /// Selects the issue/dispatch engine. All engines simulate
+    /// Selects the issue/dispatch engine. Both engines simulate
     /// identically (see [`EngineKind`]); this only trades host cost for
     /// oracle independence. Configurations with more than 64 function
     /// units force [`EngineKind::Scan`] regardless of `kind` — the
-    /// cached engines' readiness bitmask is a u64.
+    /// decoded engine's readiness bitmask is a u64.
     pub fn set_engine(&mut self, kind: EngineKind) {
         self.engine = if self.config.units().len() > 64 {
             EngineKind::Scan
@@ -1113,49 +1123,122 @@ impl Machine {
         Ok(())
     }
 
-    /// Decides a branch's pipeline payload from its issue-time operand
-    /// values, reading the program-spelled operation — the oracle
-    /// engines' path.
-    fn branch_payload(b: &BranchOp, vals: ValList) -> Result<ExecPayload, SimError> {
-        Ok(match b {
-            BranchOp::Halt => ExecPayload::Branch(Transfer::Halt),
-            BranchOp::Jmp { target } => ExecPayload::Branch(Transfer::To(*target)),
-            BranchOp::Br { on_true, target } => {
-                ExecPayload::Branch(if vals[0].as_cond()? == *on_true {
-                    Transfer::To(*target)
-                } else {
-                    Transfer::FallThrough
-                })
+    /// The decoded engine's dispatch: gathers sources through
+    /// pre-resolved flat register indices and unboxed immediates
+    /// ([`DecSrc`]), claims destinations by flat index, and decides the
+    /// slot record's [`SlotAction`] — ALU ops through the jump-table tag,
+    /// the fork argument list shared (its clone is a pointer bump, not a
+    /// copy). Returns the unit latency with the effect.
+    fn dispatch_decoded(&mut self, tid: ThreadId, op_idx: u32) -> Result<(u64, Effect), SimError> {
+        let sm = &self.code.ops[op_idx as usize];
+        let regs = &mut self.threads[tid.0 as usize].regs;
+        let vals: ValList = sm
+            .srcs
+            .iter()
+            .map(|s| match s {
+                DecSrc::Reg(i) => regs.value_at(*i),
+                DecSrc::Imm(v) => *v,
+            })
+            .collect();
+        for &i in sm.dsts_flat.iter() {
+            regs.begin_write_at(i);
+        }
+        let effect = match &sm.action {
+            SlotAction::Alu => {
+                Effect::Pipe(ExecPayload::Result(op::eval_alu(sm.tag, vals.as_slice())?))
             }
-            BranchOp::Fork { segment, arg_dsts } => ExecPayload::Fork(Box::new(ForkPayload {
-                segment: *segment,
-                arg_dsts: arg_dsts.clone().into(),
-                vals,
-            })),
-            BranchOp::Probe { .. } => unreachable!("probes complete at issue"),
-        })
+            SlotAction::Mem(m) => Self::mem_effect(*m, &vals)?,
+            SlotAction::Probe(id) => Effect::Probe(*id),
+            SlotAction::Halt => Effect::Pipe(ExecPayload::Branch(Transfer::Halt)),
+            SlotAction::Jmp(target) => Effect::Pipe(ExecPayload::Branch(Transfer::To(*target))),
+            SlotAction::Br { on_true, target } => Self::br_effect(vals[0], *on_true, *target)?,
+            SlotAction::Fork { segment, arg_dsts } => {
+                Effect::Pipe(ExecPayload::Fork(Box::new(ForkPayload {
+                    segment: *segment,
+                    arg_dsts: Arc::clone(arg_dsts),
+                    vals,
+                })))
+            }
+        };
+        Ok((sm.latency, effect))
     }
 
-    /// [`Self::branch_payload`] over the pre-decoded [`DecBranch`] — the
-    /// decoded engine's path (the fork argument list is shared, so its
-    /// clone is a pointer bump, not a copy).
-    fn branch_payload_dec(b: &DecBranch, vals: ValList) -> Result<ExecPayload, SimError> {
-        Ok(match b {
-            DecBranch::Halt => ExecPayload::Branch(Transfer::Halt),
-            DecBranch::Jmp(target) => ExecPayload::Branch(Transfer::To(*target)),
-            DecBranch::Br { on_true, target } => {
-                ExecPayload::Branch(if vals[0].as_cond()? == *on_true {
-                    Transfer::To(*target)
-                } else {
-                    Transfer::FallThrough
-                })
+    /// The scan oracle's dispatch, straight off the program's
+    /// [`Operation`]: sources, destination claims, the unit's latency,
+    /// the opcode and the branch are read as the compiler wrote them,
+    /// never from a decoded record.
+    fn dispatch_scan(
+        &mut self,
+        fu: FuId,
+        tid: ThreadId,
+        slot_idx: usize,
+    ) -> Result<(u64, Effect), SimError> {
+        let t = &mut self.threads[tid.0 as usize];
+        let (_, operation) = &self.program.segment(t.segment).rows[t.ip as usize].slots()[slot_idx];
+        let vals: ValList = operation
+            .srcs
+            .iter()
+            .map(|s| match s {
+                pc_isa::Operand::Reg(r) => t.regs.value(*r),
+                pc_isa::Operand::ImmInt(i) => Value::Int(*i),
+                pc_isa::Operand::ImmFloat(f) => Value::Float(*f),
+            })
+            .collect();
+        for d in &operation.dsts {
+            t.regs.begin_write(*d);
+        }
+        let effect = match &operation.kind {
+            OpKind::Int(i) => Effect::Pipe(ExecPayload::Result(op::eval_int(*i, vals.as_slice())?)),
+            OpKind::Float(f) => {
+                Effect::Pipe(ExecPayload::Result(op::eval_float(*f, vals.as_slice())?))
             }
-            DecBranch::Fork { segment, arg_dsts } => ExecPayload::Fork(Box::new(ForkPayload {
-                segment: *segment,
-                arg_dsts: Arc::clone(arg_dsts),
-                vals,
-            })),
-            DecBranch::None => unreachable!("non-branch slot issued as branch"),
+            OpKind::Mem(m) => Self::mem_effect(*m, &vals)?,
+            OpKind::Branch(BranchOp::Probe { id }) => Effect::Probe(*id),
+            OpKind::Branch(BranchOp::Halt) => Effect::Pipe(ExecPayload::Branch(Transfer::Halt)),
+            OpKind::Branch(BranchOp::Jmp { target }) => {
+                Effect::Pipe(ExecPayload::Branch(Transfer::To(*target)))
+            }
+            OpKind::Branch(BranchOp::Br { on_true, target }) => {
+                Self::br_effect(vals[0], *on_true, *target)?
+            }
+            OpKind::Branch(BranchOp::Fork { segment, arg_dsts }) => {
+                Effect::Pipe(ExecPayload::Fork(Box::new(ForkPayload {
+                    segment: *segment,
+                    arg_dsts: arg_dsts.clone().into(),
+                    vals,
+                })))
+            }
+        };
+        Ok((u64::from(self.config.fu(fu).latency), effect))
+    }
+
+    /// A conditional branch decided against its issue-time condition.
+    fn br_effect(cond: Value, on_true: bool, target: u32) -> Result<Effect, SimError> {
+        Ok(Effect::Pipe(ExecPayload::Branch(
+            if cond.as_cond()? == on_true {
+                Transfer::To(target)
+            } else {
+                Transfer::FallThrough
+            },
+        )))
+    }
+
+    /// A memory reference's request: address `vals[0] + vals[1]`, and
+    /// for stores the value `vals[2]`.
+    fn mem_effect(m: MemOp, vals: &ValList) -> Result<Effect, SimError> {
+        let addr = vals[0].as_int()?.wrapping_add(vals[1].as_int()?);
+        if addr < 0 {
+            return Err(SimError::Mem(pc_memsys::MemError::OutOfBounds {
+                addr: addr as u64,
+            }));
+        }
+        let kind = match m {
+            MemOp::Load(fl) => RequestKind::Load(fl),
+            MemOp::Store(fl) => RequestKind::Store(fl, vals[2]),
+        };
+        Ok(Effect::Mem {
+            addr: addr as u64,
+            kind,
         })
     }
 
@@ -1220,49 +1303,9 @@ impl Machine {
 
     /// Retires an op's result by its decoded-slot handle: destination
     /// lists are read back from the slot record instead of being copied
-    /// through the pipelines and the memory token slab. Applies the
-    /// write directly when the interconnect is contention-free and
-    /// unobserved (same argument as in [`Self::enqueue_writeback`]);
-    /// otherwise clones the lists into a queued writeback.
+    /// through the pipelines and the memory token slab.
     fn retire_result(&mut self, thread: ThreadId, fu: FuId, op: u32, value: Value) {
         let sm = &self.code.ops[op as usize];
-        if sm.dsts_flat.is_empty() {
-            return;
-        }
-        if !self.obs.on && self.xconn.contention_free() {
-            let flats = sm.dsts_flat.clone();
-            let remote = sm.wb_remote;
-            self.xconn
-                .record_uncontended_grants(flats.len() as u64, u64::from(remote));
-            let ti = thread.0 as usize;
-            if self.threads[ti].is_alive() {
-                for di in (0..flats.len()).rev() {
-                    let flat = flats[di];
-                    self.threads[ti].regs.complete_write_at(flat, value);
-                    self.update_ready_after_write(ti, flat);
-                }
-            }
-            return;
-        }
-        let sm = &self.code.ops[op as usize];
-        let (dsts, flats, remote) = (sm.dsts.clone(), sm.dsts_flat.clone(), sm.wb_remote);
-        self.enqueue_writeback(thread, fu, dsts, flats, remote, value);
-    }
-
-    fn enqueue_writeback(
-        &mut self,
-        thread: ThreadId,
-        fu: FuId,
-        dsts: RegList,
-        dsts_flat: FlatList,
-        remote: u8,
-        value: Value,
-    ) {
-        // A result with no destinations retires on the spot: queueing it
-        // would occupy a writeback slot no arbitration round could drain.
-        if dsts.is_empty() {
-            return;
-        }
         // Under a contention-free interconnect with no observer attached,
         // queueing is pure ceremony: everything enqueued this cycle fully
         // drains in this same cycle's retirement phase, the write-buffer
@@ -1275,16 +1318,35 @@ impl Machine {
         // marks the thread dirty itself ([`Thread::enter_row`]), which
         // forces the same exact rebuild at the next issue phase.
         if !self.obs.on && self.xconn.contention_free() {
+            let flats = sm.dsts_flat.clone();
             self.xconn
-                .record_uncontended_grants(dsts_flat.len() as u64, u64::from(remote));
+                .record_uncontended_grants(flats.len() as u64, u64::from(sm.wb_remote));
             let ti = thread.0 as usize;
             if self.threads[ti].is_alive() {
-                for di in (0..dsts_flat.len()).rev() {
-                    let flat = dsts_flat[di];
+                for &flat in flats.iter().rev() {
                     self.threads[ti].regs.complete_write_at(flat, value);
                     self.update_ready_after_write(ti, flat);
                 }
             }
+            return;
+        }
+        let (dsts, flats, remote) = (sm.dsts.clone(), sm.dsts_flat.clone(), sm.wb_remote);
+        self.enqueue_writeback(thread, fu, dsts, flats, remote, value);
+    }
+
+    /// Queues a result for write-port arbitration.
+    fn enqueue_writeback(
+        &mut self,
+        thread: ThreadId,
+        fu: FuId,
+        dsts: RegList,
+        dsts_flat: FlatList,
+        remote: u8,
+        value: Value,
+    ) {
+        // A result with no destinations retires on the spot: queueing it
+        // would occupy a writeback slot no arbitration round could drain.
+        if dsts.is_empty() {
             return;
         }
         let seq = self.wb_seq;
@@ -1470,8 +1532,7 @@ impl Machine {
         }
         match self.engine {
             EngineKind::Scan => self.issue_all_scan(now),
-            EngineKind::Event => self.issue_all_cached::<false>(now),
-            EngineKind::Decoded => self.issue_all_cached::<true>(now),
+            EngineKind::Decoded => self.issue_all_cached(now),
         }
     }
 
@@ -1482,10 +1543,9 @@ impl Machine {
     /// issue order are exactly those of [`Machine::issue_all_scan`] —
     /// candidates accumulate in live order and feed the same
     /// [`Machine::select`] — so the engines are bit-identical; only the
-    /// cost of discovering candidates differs. `DECODED` selects the
-    /// flat decoded dispatch inside [`Machine::issue_one`]; candidate
-    /// discovery is shared.
-    fn issue_all_cached<const DECODED: bool>(&mut self, now: u64) -> Result<bool, SimError> {
+    /// cost of discovering candidates differs. Issue dispatches over the
+    /// decoded records.
+    fn issue_all_cached(&mut self, now: u64) -> Result<bool, SimError> {
         let mut any = false;
         // One pass over the live threads repairs dirty caches, unions the
         // units with at least one ready slot, and distributes each
@@ -1520,7 +1580,7 @@ impl Machine {
         }
         // Units outside `unit_mask` have no candidates: the reference
         // engine skips them without touching arbitration state, so the
-        // cached engines may too. Within one cycle's issue phase a
+        // decoded engine may too. Within one cycle's issue phase a
         // thread's readiness only ever *shrinks* (its own issues claim
         // registers and add outstanding traffic; nothing completes
         // mid-phase), and every issue repairs its thread's cache in place
@@ -1560,7 +1620,7 @@ impl Machine {
                     });
                 }
             }
-            self.issue_one::<DECODED>(now, fu, tid, slot_idx)?;
+            self.issue_one(now, fu, tid, slot_idx)?;
             any = true;
         }
         // Leave every touched bucket empty for the next cycle (exactly
@@ -1634,8 +1694,8 @@ impl Machine {
     /// walking the slots. A hit marks the cache dirty rather than
     /// repairing in place, so a burst of same-cycle writebacks costs one
     /// [`Machine::refresh_ready`] at the next issue phase instead of one
-    /// row walk per destination. (The scan and lockstep engines never
-    /// clean their caches, so they are unaffected.)
+    /// row walk per destination. (The scan engine and lockstep issue
+    /// never clean the caches, so they are unaffected.)
     fn update_ready_after_write(&mut self, ti: usize, bit: u32) {
         if let Some(h) = self.host.as_mut() {
             h.wake_repairs += 1;
@@ -1732,7 +1792,7 @@ impl Machine {
     /// The scan-every-cycle reference engine: rescans every live
     /// thread's row for every unit, grading readiness straight off the
     /// program's operations. Selectable via [`Machine::set_engine`] as
-    /// the oracle the cached engines are verified against.
+    /// the oracle the decoded engine is verified against.
     fn issue_all_scan(&mut self, now: u64) -> Result<bool, SimError> {
         let mut any = false;
         let mut candidates = mem::take(&mut self.scratch.cand);
@@ -1775,7 +1835,7 @@ impl Machine {
                     });
                 }
             }
-            self.issue_one::<false>(now, fu, tid, slot_idx)?;
+            self.issue_one(now, fu, tid, slot_idx)?;
             any = true;
         }
         self.scratch.cand = candidates;
@@ -1785,7 +1845,8 @@ impl Machine {
     /// Strict-VLIW ablation: a thread's current row issues atomically —
     /// every operation data-ready and every needed unit free — or not at
     /// all (no intra-row slip). Threads are considered in rotating order
-    /// for fairness.
+    /// for fairness; each slot issues through the selected engine's
+    /// dispatch.
     fn issue_all_lockstep(&mut self, now: u64) -> Result<bool, SimError> {
         if self.live.is_empty() {
             return Ok(false);
@@ -1828,7 +1889,7 @@ impl Machine {
             );
             for &(fu, slot_idx) in &slots {
                 used_units.push(fu);
-                self.issue_one::<false>(now, fu, ThreadId(ti), slot_idx as usize)?;
+                self.issue_one(now, fu, ThreadId(ti), slot_idx as usize)?;
                 any = true;
             }
         }
@@ -1950,14 +2011,6 @@ impl Machine {
         }
     }
 
-    /// Issues one operation: reads sources, claims destinations, enters
-    /// the pipeline / memory system / probe trace.
-    ///
-    /// `DECODED` selects the flat dispatch: operands gather through
-    /// pre-resolved flat register indices and unboxed immediates
-    /// ([`DecSrc`]), destinations claim through flat indices, and the
-    /// latency comes off the decoded record. The event engine (`false`)
-    /// keeps the boxed [`pc_isa::Operand`] path as an oracle.
     /// Enqueues a precomputed effect on `fu`'s pipeline, due at `done`,
     /// maintaining the O(1) due-cycle counters.
     fn push_pipe(&mut self, fu: FuId, tid: ThreadId, op: u32, payload: ExecPayload, done: u64) {
@@ -1975,7 +2028,12 @@ impl Machine {
         });
     }
 
-    fn issue_one<const DECODED: bool>(
+    /// Issues one operation: records the issue, lets the selected
+    /// engine gather sources, claim destinations and decide the effect
+    /// ([`Machine::dispatch_decoded`] / [`Machine::dispatch_scan`]), then
+    /// enters the effect into the pipeline / memory system / probe
+    /// trace.
+    fn issue_one(
         &mut self,
         now: u64,
         fu: FuId,
@@ -1985,50 +2043,6 @@ impl Machine {
         let t = &mut self.threads[tid.0 as usize];
         let seg_id = t.segment;
         let row = t.ip;
-        // The slot metadata self-contains operands, destinations, and the
-        // action, so steady-state issue never dereferences the program
-        // (only the trace block below does, for the mnemonic). The op
-        // index is resolved once here and rides the pipeline entry, so
-        // completion reaches the record in a single load.
-        let op_idx = self
-            .code
-            .row(seg_id, row)
-            .expect("issue targets a current row")
-            .op_base
-            + slot_idx as u32;
-        let sm = &self.code.ops[op_idx as usize];
-        let latency = if DECODED {
-            sm.latency
-        } else {
-            self.config.fu(fu).latency as u64
-        };
-        let vals: ValList = if DECODED {
-            sm.srcs
-                .iter()
-                .map(|s| match s {
-                    DecSrc::Reg(i) => t.regs.value_at(*i),
-                    DecSrc::Imm(v) => *v,
-                })
-                .collect()
-        } else {
-            sm.srcs_ops
-                .iter()
-                .map(|s| match s {
-                    pc_isa::Operand::Reg(r) => t.regs.value(*r),
-                    pc_isa::Operand::ImmInt(i) => Value::Int(*i),
-                    pc_isa::Operand::ImmFloat(f) => Value::Float(*f),
-                })
-                .collect()
-        };
-        if DECODED {
-            for &i in sm.dsts_flat.iter() {
-                t.regs.begin_write_at(i);
-            }
-        } else {
-            for d in sm.dsts.iter() {
-                t.regs.begin_write(*d);
-            }
-        }
         t.issued[slot_idx] = true;
         t.unissued -= 1;
         let row_done = t.unissued == 0;
@@ -2038,8 +2052,6 @@ impl Machine {
         // traffic. A clean readiness cache is repaired incrementally at
         // the end of this function; a dirty one stays dirty.
         let was_clean = !t.ready_dirty;
-        let action = sm.action;
-        let tag = sm.tag;
         self.ops_issued += 1;
         self.ops_by_unit[fu.0 as usize] += 1;
         if self.obs.profiling {
@@ -2065,92 +2077,64 @@ impl Machine {
             }
         }
 
-        match action {
-            SlotAction::Mem(m) => {
-                let addr_base = vals[0].as_int()?;
-                let addr_off = vals[1].as_int()?;
-                let addr = addr_base.wrapping_add(addr_off);
-                if addr < 0 {
-                    return Err(SimError::Mem(pc_memsys::MemError::OutOfBounds {
-                        addr: addr as u64,
-                    }));
-                }
-                let kind = match m {
-                    MemOp::Load(fl) => RequestKind::Load(fl),
-                    MemOp::Store(fl) => RequestKind::Store(fl, vals[2]),
-                };
+        // The op index rides the pipeline entry and the memory token, so
+        // retirement reaches the slot's destination lists in one load.
+        let op_idx = self
+            .code
+            .row(seg_id, row)
+            .expect("issue targets a current row")
+            .op_base
+            + slot_idx as u32;
+        let (latency, effect) = match self.engine {
+            EngineKind::Decoded => self.dispatch_decoded(tid, op_idx)?,
+            EngineKind::Scan => self.dispatch_scan(fu, tid, slot_idx)?,
+        };
+        let added_mem = matches!(effect, Effect::Mem { .. });
+        match effect {
+            Effect::Mem { addr, kind } => {
+                let is_load = matches!(kind, RequestKind::Load(_));
                 let token = self.tokens.insert(
                     MemToken {
                         thread: tid,
                         fu,
-                        is_load: matches!(m, MemOp::Load(_)),
+                        is_load,
                     },
                     op_idx,
                 );
                 // The reference spends the unit's latency in the pipeline
                 // before reaching the memory system proper; we fold that
                 // into the submission cycle (unit latency 1 == submit now).
-                let bank_wait = self.mem.submit(now + latency - 1, token, addr as u64, kind);
+                let bank_wait = self.mem.submit(now + latency - 1, token, addr, kind);
                 if bank_wait > 0 {
                     if let Some(sink) = &mut self.obs.sink {
                         sink.event(&ProbeEvent::BankConflict {
                             cycle: now,
                             thread: tid.0,
-                            addr: addr as u64,
+                            addr,
                             wait: bank_wait,
                         });
                     }
                 }
-                self.threads[tid.0 as usize].outstanding_mem.push((
-                    token,
-                    addr as u64,
-                    matches!(m, MemOp::Store(_)),
-                ));
+                self.threads[tid.0 as usize]
+                    .outstanding_mem
+                    .push((token, addr, !is_load));
             }
-            SlotAction::Probe(id) => {
+            Effect::Probe(id) => {
                 self.probes.push(ProbeRecord {
                     thread: tid.0,
                     id,
                     cycle: now,
                 });
             }
-            SlotAction::Branch => {
-                self.threads[tid.0 as usize].branch_pending = true;
-                let payload = if DECODED {
-                    Self::branch_payload_dec(&self.code.ops[op_idx as usize].branch, vals)?
-                } else {
-                    let (_, pop) =
-                        &self.program.segment(seg_id).rows[row as usize].slots()[slot_idx];
-                    match &pop.kind {
-                        OpKind::Branch(b) => Self::branch_payload(b, vals)?,
-                        _ => unreachable!("SlotAction::Branch indexes a branch op"),
-                    }
-                };
+            Effect::Pipe(payload) => {
+                if !matches!(payload, ExecPayload::Result(_)) {
+                    self.threads[tid.0 as usize].branch_pending = true;
+                }
                 self.push_pipe(fu, tid, op_idx, payload, now + latency);
-            }
-            SlotAction::Int(iop) => {
-                let v = if DECODED {
-                    op::eval_alu(tag, vals.as_slice())?
-                } else {
-                    op::eval_int(iop, vals.as_slice())?
-                };
-                self.push_pipe(fu, tid, op_idx, ExecPayload::Result(v), now + latency);
-            }
-            SlotAction::Float(fop) => {
-                let v = if DECODED {
-                    op::eval_alu(tag, vals.as_slice())?
-                } else {
-                    op::eval_float(fop, vals.as_slice())?
-                };
-                self.push_pipe(fu, tid, op_idx, ExecPayload::Result(v), now + latency);
             }
         }
         if was_clean {
-            self.update_ready_after_issue(
-                tid.0 as usize,
-                slot_idx,
-                matches!(action, SlotAction::Mem(_)),
-            );
+            self.update_ready_after_issue(tid.0 as usize, slot_idx, added_mem);
         }
         if row_done {
             self.advance_hint = true;
@@ -3003,34 +2987,25 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_matches_reference_engine() {
+    fn decoded_engine_matches_reference_engine() {
         // The contention program exercises arbitration losses, writeback
         // bursts, and memory ordering — the paths whose readiness-cache
         // repairs and decoded dispatch must reproduce the scan engine's
         // schedule exactly.
         for profiled in [false, true] {
-            let mut reference =
-                Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
-            reference.set_engine(EngineKind::Scan);
-            if profiled {
-                reference.enable_profiling();
-            }
-            let b = reference.run(10_000).unwrap();
-            for kind in [EngineKind::Decoded, EngineKind::Event] {
-                let mut fast =
-                    Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
-                fast.set_engine(kind);
+            let run = |kind: EngineKind| {
+                let mut m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
+                m.set_engine(kind);
                 if profiled {
-                    fast.enable_profiling();
+                    m.enable_profiling();
                 }
-                let a = fast.run(10_000).unwrap();
-                assert_eq!(
-                    a,
-                    b,
-                    "{} engine diverges from scan (profiled={profiled})",
-                    kind.name()
-                );
-            }
+                m.run(10_000).unwrap()
+            };
+            assert_eq!(
+                run(EngineKind::Decoded),
+                run(EngineKind::Scan),
+                "decoded engine diverges from scan (profiled={profiled})"
+            );
         }
     }
 
@@ -3038,7 +3013,7 @@ mod tests {
     fn set_engine_round_trips_every_kind() {
         let mut m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
         assert_eq!(m.engine(), EngineKind::Decoded);
-        for kind in [EngineKind::Scan, EngineKind::Event, EngineKind::Decoded] {
+        for kind in [EngineKind::Scan, EngineKind::Decoded] {
             m.set_engine(kind);
             assert_eq!(m.engine(), kind);
         }
@@ -3046,7 +3021,7 @@ mod tests {
 
     #[test]
     fn host_telemetry_never_perturbs_the_run() {
-        for kind in [EngineKind::Decoded, EngineKind::Event, EngineKind::Scan] {
+        for kind in [EngineKind::Decoded, EngineKind::Scan] {
             let mut plain = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
             plain.set_engine(kind);
             let want = plain.run(100_000).unwrap();
@@ -3067,7 +3042,7 @@ mod tests {
     }
 
     #[test]
-    fn host_profile_counts_wake_repairs_on_cached_engines() {
+    fn host_profile_counts_wake_repairs_on_decoded_engine() {
         let mut m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
         m.enable_host_telemetry();
         m.run(100_000).unwrap();
@@ -3081,15 +3056,17 @@ mod tests {
 
     #[test]
     fn engine_kind_parses_and_prints() {
-        for (s, k) in [
-            ("decoded", EngineKind::Decoded),
-            ("event", EngineKind::Event),
-            ("scan", EngineKind::Scan),
-        ] {
+        for (s, k) in [("decoded", EngineKind::Decoded), ("scan", EngineKind::Scan)] {
             assert_eq!(s.parse::<EngineKind>().unwrap(), k);
             assert_eq!(k.name(), s);
         }
-        assert!("fast".parse::<EngineKind>().is_err());
+        // The retired event engine is rejected like any unknown name.
+        for s in ["event", "fast"] {
+            assert_eq!(
+                s.parse::<EngineKind>().unwrap_err(),
+                format!("unknown engine `{s}` (expected decoded or scan)")
+            );
+        }
     }
 
     #[test]

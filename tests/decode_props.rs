@@ -115,9 +115,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Decode → execute equals reference-engine execution: for random
-    /// valid programs and configurations, the decoded and event engines
-    /// reproduce the scan engine's stats, stall table, and memory
-    /// contents exactly.
+    /// valid programs and configurations, the decoded engine reproduces
+    /// the scan engine's stats, stall table, and memory contents exactly.
+    /// The scan engine issues from the program itself, so decode cannot
+    /// have influenced the reference.
     #[test]
     fn decoded_execution_matches_reference(
         e0 in expr(3),
@@ -139,12 +140,10 @@ proptest! {
         let out = compile(&src, &config, mode).expect("compiles");
         let code = Arc::new(DecodedProgram::decode(config, Arc::new(out.program)).unwrap());
         let (ref_stats, ref_mem) = run_on(&code, EngineKind::Scan, &ivs);
-        for engine in [EngineKind::Decoded, EngineKind::Event] {
-            let (stats, mem) = run_on(&code, engine, &ivs);
-            prop_assert_eq!(&stats.stalls, &ref_stats.stalls, "{}: stall tables", engine.name());
-            prop_assert_eq!(&stats, &ref_stats, "{}: stats", engine.name());
-            prop_assert_eq!(&mem, &ref_mem, "{}: memory", engine.name());
-        }
+        let (stats, mem) = run_on(&code, EngineKind::Decoded, &ivs);
+        prop_assert_eq!(&stats.stalls, &ref_stats.stalls, "stall tables");
+        prop_assert_eq!(&stats, &ref_stats, "stats");
+        prop_assert_eq!(&mem, &ref_mem, "memory");
     }
 }
 
@@ -162,8 +161,10 @@ fn matrix_decoded_layout_is_stable() {
     assert_eq!(code.n_rows(), 98, "rows");
     assert_eq!(code.n_ops(), 280, "op records");
     assert_eq!(code.unit_table_len(), 1372, "unit-slot table");
+    // 376 bytes on 64-bit hosts since the oracle-only operand copies
+    // left the record (it was 512 with them).
     assert!(
-        DecodedProgram::op_record_bytes() <= 512,
+        DecodedProgram::op_record_bytes() <= 376,
         "DecodedOp grew to {} bytes — keep the hot record compact",
         DecodedProgram::op_record_bytes()
     );

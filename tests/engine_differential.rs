@@ -1,13 +1,14 @@
-//! Differential testing of the three issue engines against each other.
+//! Differential testing of the two issue engines against each other.
 //!
-//! The decoded backend (pre-resolved operands, threaded-code dispatch)
-//! and the event engine (readiness bitmasks, targeted cache repair,
-//! bulk idle-cycle skipping) are pure performance restructurings: for
-//! every benchmark and machine mode they must produce a
+//! The decoded engine (readiness bitmasks, targeted cache repair, bulk
+//! idle-cycle skipping, pre-resolved operands, threaded-code dispatch)
+//! is a pure performance restructuring: for every benchmark and machine
+//! mode, under slip and under lockstep issue, it must produce a
 //! [`pc_sim::RunStats`] that is *bit-identical* to the scan-every-cycle
 //! reference engine's — cycle counts, per-unit op counts, and the full
-//! stall table including the per-slot attribution counters. Any
-//! divergence is a scheduling bug, not noise.
+//! stall table including the per-slot attribution counters. The scan
+//! engine issues straight from the program, never from a decoded
+//! record, so any divergence is a decode or scheduling bug, not noise.
 
 use coupling::{benchmarks, MachineMode};
 use pc_isa::MachineConfig;
@@ -35,39 +36,34 @@ fn run_engine(
         .unwrap_or_else(|e| panic!("{} {} {}: {e}", bench.name, mode.label(), engine.name()))
 }
 
-/// Asserts bit-identical stats across all three engines, plain and
-/// profiled, for every mode the benchmark supports. The scan engine is
-/// the oracle; decoded and event must match it exactly.
+/// Asserts bit-identical stats across both engines, plain and
+/// profiled, under slip and lockstep issue, for every mode the benchmark
+/// supports. The scan engine is the oracle; decoded must match it
+/// exactly.
 fn engines_agree(bench: &coupling::Benchmark) {
-    for mode in MachineMode::all() {
-        let Some(src) = bench.source(mode) else {
-            continue;
-        };
-        let config = MachineConfig::baseline();
-        let out = pc_compiler::compile(src, &config, mode.schedule_mode())
-            .unwrap_or_else(|e| panic!("{} {}: {e}", bench.name, mode.label()));
-        let code = Arc::new(DecodedProgram::decode(config, Arc::new(out.program)).unwrap());
-        for profiled in [false, true] {
-            let reference = run_engine(bench, mode, &code, EngineKind::Scan, profiled);
-            for engine in [EngineKind::Decoded, EngineKind::Event] {
-                let fast = run_engine(bench, mode, &code, engine, profiled);
+    for lockstep in [false, true] {
+        for mode in MachineMode::all() {
+            let Some(src) = bench.source(mode) else {
+                continue;
+            };
+            let config = MachineConfig::baseline().with_lockstep_issue(lockstep);
+            let out = pc_compiler::compile(src, &config, mode.schedule_mode())
+                .unwrap_or_else(|e| panic!("{} {}: {e}", bench.name, mode.label()));
+            let code = Arc::new(DecodedProgram::decode(config, Arc::new(out.program)).unwrap());
+            for profiled in [false, true] {
+                let reference = run_engine(bench, mode, &code, EngineKind::Scan, profiled);
+                let fast = run_engine(bench, mode, &code, EngineKind::Decoded, profiled);
+                let case = format!(
+                    "{} {} (lockstep={lockstep}, profiled={profiled})",
+                    bench.name,
+                    mode.label()
+                );
                 // The stall table first, for a readable failure.
                 assert_eq!(
-                    fast.stalls,
-                    reference.stalls,
-                    "{} {} {} (profiled={profiled}): stall tables diverge",
-                    bench.name,
-                    mode.label(),
-                    engine.name()
+                    fast.stalls, reference.stalls,
+                    "{case}: stall tables diverge"
                 );
-                assert_eq!(
-                    fast,
-                    reference,
-                    "{} {} {} (profiled={profiled}): stats diverge",
-                    bench.name,
-                    mode.label(),
-                    engine.name()
-                );
+                assert_eq!(fast, reference, "{case}: stats diverge");
             }
         }
     }
