@@ -47,7 +47,7 @@ use std::collections::HashMap;
 
 /// Per-segment diagnostics, mirroring the original compiler's "diagnostic
 /// file" output.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentInfo {
     /// Segment name.
     pub name: String,

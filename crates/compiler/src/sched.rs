@@ -28,7 +28,7 @@ use pc_isa::{
 use std::collections::HashMap;
 
 /// Cluster-restriction mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleMode {
     /// Pin each thread to one arithmetic cluster (chosen by variant).
     Single,

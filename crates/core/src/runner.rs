@@ -3,13 +3,14 @@
 
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
-use pc_compiler::{CompileError, SegmentInfo};
-use pc_isa::MachineConfig;
+use pc_compiler::{CompileError, ScheduleMode, SegmentInfo};
+use pc_isa::{DebugMap, MachineConfig, Program};
 use pc_sim::probe::{ChromeTraceSink, Fanout, JsonlSink};
 use pc_sim::{EngineKind, Machine, RunStats, SimError};
 use std::fmt;
 use std::io::BufWriter;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Generous default cycle budget (the largest benchmark, LUD under Mem2,
 /// runs well under a million cycles).
@@ -26,8 +27,9 @@ pub struct RunOutcome {
     pub peak_registers: u32,
     /// Source-provenance side table from the compiler (empty for
     /// programs built without debug info — reports then fall back to
-    /// "no provenance").
-    pub debug: pc_isa::DebugMap,
+    /// "no provenance"). Shared with the [`CompiledBenchmark`] it came
+    /// from.
+    pub debug: Arc<DebugMap>,
     /// The issue engine that actually produced the run. May differ from
     /// the requested engine only when the machine forces a fallback
     /// (more than 64 units clamps to the scan engine).
@@ -177,14 +179,90 @@ fn run_benchmark_full(
     options: pc_compiler::CompileOptions,
     observe: &Observe,
 ) -> Result<RunOutcome, RunError> {
+    let compiled = compile_benchmark(bench, mode, &config, options)?;
+    run_compiled(bench, &compiled, config, observe)
+}
+
+/// A benchmark compiled for one mode and compile target: everything a run
+/// needs except the runtime half of the configuration. Cheap to share —
+/// a sweep compiles each distinct (source, schedule mode, compile target)
+/// once and simulates the image under every configuration that shares it.
+#[derive(Debug, Clone)]
+pub struct CompiledBenchmark {
+    /// The executable program.
+    pub program: Arc<Program>,
+    /// Compiler diagnostics per segment.
+    pub info: Vec<SegmentInfo>,
+    /// Source-provenance side table.
+    pub debug: Arc<DebugMap>,
+    /// Peak per-cluster register count over all segments.
+    pub peak_registers: u32,
+}
+
+impl CompiledBenchmark {
+    /// Compiles `src` under `schedule` against `config`. The compiler
+    /// reads only [`MachineConfig::compile_target`], so the image may be
+    /// run under any configuration with the same target.
+    ///
+    /// # Errors
+    /// Syntax, type, or scheduling errors.
+    pub fn compile(
+        src: &str,
+        schedule: ScheduleMode,
+        config: &MachineConfig,
+        options: pc_compiler::CompileOptions,
+    ) -> Result<CompiledBenchmark, CompileError> {
+        let out = pc_compiler::compile_with_options(src, config, schedule, options)?;
+        Ok(CompiledBenchmark {
+            peak_registers: out.peak_registers(),
+            program: Arc::new(out.program),
+            info: out.info,
+            debug: Arc::new(out.debug),
+        })
+    }
+}
+
+/// Compiles `bench`'s source for `mode` against `config` (see
+/// [`CompiledBenchmark::compile`]).
+///
+/// # Errors
+/// [`RunError::Unsupported`] when the benchmark has no source for `mode`;
+/// [`RunError::Compile`] when compilation fails.
+pub fn compile_benchmark(
+    bench: &Benchmark,
+    mode: MachineMode,
+    config: &MachineConfig,
+    options: pc_compiler::CompileOptions,
+) -> Result<CompiledBenchmark, RunError> {
     let src = bench.source(mode).ok_or(RunError::Unsupported {
         bench: bench.name,
         mode,
     })?;
-    let out = pc_compiler::compile_with_options(src, &config, mode.schedule_mode(), options)?;
-    let peak = out.peak_registers();
-    let debug = out.debug;
-    let mut machine = Machine::new(config, out.program)?;
+    Ok(CompiledBenchmark::compile(
+        src,
+        mode.schedule_mode(),
+        config,
+        options,
+    )?)
+}
+
+/// Simulates an already [compiled](compile_benchmark) benchmark on
+/// `config` and validates its output. `config` should share the compile
+/// target of the configuration `compiled` was built for; its runtime
+/// fields (interconnect, memory, seed, …) drive the simulation. The
+/// program is shared with the machine, not cloned.
+///
+/// # Errors
+/// See [`RunError`]; an image that does not fit `config`'s units fails
+/// validation as [`RunError::Sim`], and sink files that cannot be created
+/// surface as [`RunError::Io`].
+pub fn run_compiled(
+    bench: &Benchmark,
+    compiled: &CompiledBenchmark,
+    config: MachineConfig,
+    observe: &Observe,
+) -> Result<RunOutcome, RunError> {
+    let mut machine = Machine::new_shared(config, Arc::clone(&compiled.program))?;
     machine.set_engine(observe.engine);
     (bench.setup)(&mut machine)?;
     if observe.profile {
@@ -202,7 +280,7 @@ fn run_benchmark_full(
         let f = create_sink_file(path)?;
         fan = fan.with(Box::new(ChromeTraceSink::with_debug(
             BufWriter::new(f),
-            debug.clone(),
+            DebugMap::clone(&compiled.debug),
         )));
     }
     if !fan.is_empty() {
@@ -216,9 +294,9 @@ fn run_benchmark_full(
     (bench.check)(&mut machine).map_err(RunError::Check)?;
     Ok(RunOutcome {
         stats,
-        segments: out.info,
-        peak_registers: peak,
-        debug,
+        segments: compiled.info.clone(),
+        peak_registers: compiled.peak_registers,
+        debug: Arc::clone(&compiled.debug),
         engine,
         host_profile,
     })

@@ -22,16 +22,17 @@ use super::pool::run_pool;
 use super::telemetry::SweepTelemetry;
 use crate::benchmarks::{self, Benchmark};
 use crate::mode::MachineMode;
-use crate::runner::{run_benchmark, RunError};
+use crate::runner::{run_compiled, CompiledBenchmark, Observe, RunError};
+use pc_compiler::{CompileError, CompileOptions, ScheduleMode};
 use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
 use pc_sim::RunStats;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::io::Write as _;
 use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Version of the JSONL row / manifest schema.
@@ -653,6 +654,70 @@ fn scan_jsonl_done(path: &Path) -> BTreeSet<String> {
 }
 
 // ---------------------------------------------------------------------
+// Compile memo
+// ---------------------------------------------------------------------
+
+/// A compiled image, or the error every cell sharing its key fails with.
+type Image = Result<Arc<CompiledBenchmark>, CompileError>;
+
+/// One memo entry: filled exactly once by whichever cell gets there first.
+type MemoSlot = Arc<OnceLock<Image>>;
+
+/// The compile targets seen for one (source text, schedule mode).
+type TargetSlots = Vec<(MachineConfig, MemoSlot)>;
+
+/// The compiled images of one sweep, keyed on (source text, schedule
+/// mode, [compile target](MachineConfig::compile_target)). Cells that
+/// differ only in runtime axes — interconnect, memory model, seed — share
+/// one compile; each still gets its own decode and machine under its full
+/// configuration.
+///
+/// Each key compiles at most once, even when several workers want it at
+/// the same moment: the map lock is held only to find or insert the
+/// key's slot, and the slot's `OnceLock` makes latecomers wait for the
+/// first compile instead of starting their own. The image is compiled
+/// against the target itself, so it cannot depend on which cell won.
+#[derive(Default)]
+struct CompileMemo<'a> {
+    slots: Mutex<HashMap<(&'a str, ScheduleMode), TargetSlots>>,
+}
+
+impl<'a> CompileMemo<'a> {
+    /// The image for `src` under `schedule` on `config`'s compile target,
+    /// plus the compile time when this call was the one that compiled it
+    /// (`None` for a reuse).
+    fn get(
+        &self,
+        src: &'a str,
+        schedule: ScheduleMode,
+        config: &MachineConfig,
+    ) -> (Image, Option<u64>) {
+        let target = config.compile_target();
+        let slot = {
+            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+            let entries = slots.entry((src, schedule)).or_default();
+            match entries.iter().find(|(t, _)| *t == target) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = MemoSlot::default();
+                    entries.push((target.clone(), Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        let mut compile_ns = None;
+        let image = slot.get_or_init(|| {
+            let t0 = Instant::now();
+            let out = CompiledBenchmark::compile(src, schedule, &target, CompileOptions::default())
+                .map(Arc::new);
+            compile_ns = Some(t0.elapsed().as_nanos() as u64);
+            out
+        });
+        (image.clone(), compile_ns)
+    }
+}
+
+// ---------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------
 
@@ -660,7 +725,10 @@ fn scan_jsonl_done(path: &Path) -> BTreeSet<String> {
 ///
 /// Work-stealing across `opts.jobs` threads; each pending cell first
 /// consults the cache (if configured), then compiles + simulates +
-/// validates. Completed rows stream to the JSONL sink **in cell order**
+/// validates. Compiles are shared within the run: cells with the same
+/// source, schedule mode and [compile
+/// target](MachineConfig::compile_target) reuse one compiled image.
+/// Completed rows stream to the JSONL sink **in cell order**
 /// (a reorder buffer holds out-of-order completions), and after every
 /// flushed row the manifest is atomically rewritten — killing the
 /// process at any point loses at most the rows still in flight, and a
@@ -785,15 +853,16 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             ))
         });
     let tel_ref = tel.as_deref();
+    let memo = CompileMemo::default();
     let run_cell = |cell: &&SweepCell| -> Result<SweepRow, (String, RunError)> {
         let cell = *cell;
         let bench = bench_of(&cell.bench);
+        let source = bench.source(cell.mode).expect("cells() filtered modes");
         let config = cell.config();
         let t0 = Instant::now();
-        let key = cache.as_ref().map(|_| {
-            let source = bench.source(cell.mode).expect("cells() filtered modes");
-            cache_key(&cell.bench, cell.mode, source, &config)
-        });
+        let key = cache
+            .as_ref()
+            .map(|_| cache_key(&cell.bench, cell.mode, source, &config));
         if let (Some(cache), Some(key)) = (&cache, &key) {
             let hit = cache.lookup(key);
             let lookup_ns = t0.elapsed().as_nanos() as u64;
@@ -818,7 +887,20 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         } else if let Some(t) = tel_ref {
             t.cache_misses.inc();
         }
-        let out = run_benchmark(bench, cell.mode, config).map_err(|e| (cell.id(), e))?;
+        let (image, compile_ns) = memo.get(source, cell.mode.schedule_mode(), &config);
+        if let Some(t) = tel_ref {
+            match compile_ns {
+                Some(ns) => {
+                    t.compiles.inc();
+                    t.compile_ns.record(ns);
+                }
+                None => t.compile_reuses.inc(),
+            }
+        }
+        let out = image
+            .map_err(RunError::Compile)
+            .and_then(|image| run_compiled(bench, &image, config, &Observe::default()))
+            .map_err(|e| (cell.id(), e))?;
         if let (Some(cache), Some(key)) = (&cache, &key) {
             // A failed store must not fail the sweep — the result is in
             // hand; the next run simply recomputes.

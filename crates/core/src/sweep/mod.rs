@@ -2,7 +2,9 @@
 //!
 //! The paper's evaluation is a configuration cross-product — benchmarks
 //! × modes × interconnect schemes × memory models × FU mixes — and each
-//! cell is an independent compile + simulate + validate pipeline. This
+//! cell is an independent simulate + validate pipeline over a program
+//! compiled once per sweep for every cell that shares its compile target
+//! (see [`pc_isa::MachineConfig::compile_target`]). This
 //! module is the batch substrate the experiment harness, the benchmark
 //! suite, and the `pcsim sweep` subcommand all share:
 //!
@@ -17,9 +19,10 @@
 //! - [`codec`] — the canonical JSON codec for `RunStats` that makes the
 //!   cache and the JSONL streams exactly round-trippable (every field is
 //!   an integer, so no float-formatting hazards exist).
-//! - [`engine`] — [`SweepSpec`]/[`run_sweep`]: grid enumeration, JSONL
-//!   streaming in deterministic cell order, and a manifest making
-//!   sharded runs (`--shard k/n`) resumable after a kill.
+//! - [`engine`] — [`SweepSpec`]/[`run_sweep`]: grid enumeration, the
+//!   per-run compile memo, JSONL streaming in deterministic cell order,
+//!   and a manifest making sharded runs (`--shard k/n`) resumable after
+//!   a kill.
 //! - [`telemetry`] — [`SweepTelemetry`]: the lock-free host-side
 //!   metrics registry behind `pcsim sweep --progress`, the periodic
 //!   JSONL snapshot emitter, and the `pcsim metrics` report.

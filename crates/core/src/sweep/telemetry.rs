@@ -12,6 +12,9 @@
 //!
 //! * `pool_pops_total + pool_steals_total == cells_done_total` — every
 //!   executed cell was obtained by exactly one owner pop or one steal.
+//! * `compiles_total + compile_reuses_total == cache_misses_total` on a
+//!   run with no failed cell — every miss either compiled its program or
+//!   reused one compiled earlier in the run; hits never compile.
 //! * per worker, `busy_ns <= wall_ns` and the summed idle time
 //!   (`wall − busy`) plus busy time equals the summed wall time exactly
 //!   (idle is *defined* as the complement, measured around the same
@@ -26,7 +29,7 @@ use super::pool::PoolMetrics;
 #[derive(Debug)]
 pub struct SweepTelemetry {
     registry: Registry,
-    /// Pool handles, shared with [`super::pool::run_pool`].
+    /// Pool handles, shared with the pool's `run_pool`.
     pub pool: PoolMetrics,
     /// Cells completed (fresh or cached).
     pub cells_done: Arc<Counter>,
@@ -42,6 +45,13 @@ pub struct SweepTelemetry {
     pub cache_miss_ns: Arc<Histogram>,
     /// Store latency, nanoseconds.
     pub cache_store_ns: Arc<Histogram>,
+    /// Cache misses that compiled their program (the first cell of each
+    /// source × schedule mode × compile target).
+    pub compiles: Arc<Counter>,
+    /// Cache misses that reused a program an earlier cell compiled.
+    pub compile_reuses: Arc<Counter>,
+    /// Compile latency of the cells that compiled, nanoseconds.
+    pub compile_ns: Arc<Histogram>,
     /// Current JSONL reorder-buffer occupancy (rows completed but not
     /// yet flushed because an earlier cell is still in flight).
     pub reorder_depth: Arc<Gauge>,
@@ -90,6 +100,15 @@ impl SweepTelemetry {
             cache_hit_ns: registry.histogram("cache_hit_ns", "Lookup latency of cache hits."),
             cache_miss_ns: registry.histogram("cache_miss_ns", "Lookup latency of cache misses."),
             cache_store_ns: registry.histogram("cache_store_ns", "Cache store latency."),
+            compiles: registry.counter(
+                "compiles_total",
+                "Cache misses that compiled their program.",
+            ),
+            compile_reuses: registry.counter(
+                "compile_reuses_total",
+                "Cache misses that reused a program compiled earlier this run.",
+            ),
+            compile_ns: registry.histogram("compile_ns", "Compile latency of cells that compiled."),
             reorder_depth: registry.gauge(
                 "reorder_buffer_depth",
                 "Rows completed but awaiting in-order flush.",
@@ -173,17 +192,26 @@ mod tests {
         t.cache_misses.add(2);
         t.pool.pops.add(0, 2);
         t.pool.steals.add(1, 1);
+        t.compiles.inc();
+        t.compile_reuses.add(4);
+        t.compile_ns.record(1_000);
         let snap = t.snapshot();
         assert_eq!(snap.value("cells_done_total"), Some(3));
         assert_eq!(snap.value("cells_total"), Some(10));
         assert_eq!(snap.labeled_total("pool_pops"), 2);
         assert_eq!(snap.labeled_total("pool_steals"), 1);
         assert!(snap.get("cache_hit_ns").is_some());
+        assert_eq!(snap.value("compiles_total"), Some(1));
+        assert_eq!(snap.value("compile_reuses_total"), Some(4));
+        assert!(snap.get("compile_ns").is_some());
         // JSONL and Prometheus renders never panic and carry the names.
         assert!(snap.to_jsonl().contains("cells_done_total"));
-        assert!(snap
-            .render_prometheus("pcsim_")
-            .contains("pcsim_cells_done_total 3"));
+        assert!(snap.to_jsonl().contains("\"compile_reuses_total\":4"));
+        let prom = snap.render_prometheus("pcsim_");
+        assert!(prom.contains("pcsim_cells_done_total 3"));
+        assert!(prom.contains("pcsim_compiles_total 1"));
+        assert!(prom.contains("pcsim_compile_reuses_total 4"));
+        assert!(prom.contains("pcsim_compile_ns"));
     }
 
     #[test]

@@ -231,6 +231,17 @@ fn telemetry_snapshot_satisfies_conservation_invariants() {
     // histogram stays empty.
     assert_eq!(snap.value("cache_hits_total"), Some(0));
     assert_eq!(snap.value("cache_misses_total"), Some(done));
+    // Every miss either compiled its program or reused one compiled
+    // earlier in the run: 2 benches × 3 modes on one machine compile
+    // 6 times, and nothing is left to reuse on the Table-2 axes.
+    let compiles = snap.value("compiles_total").unwrap();
+    let reuses = snap.value("compile_reuses_total").unwrap();
+    assert_eq!(
+        compiles + reuses,
+        done,
+        "compiles {compiles} + reuses {reuses}"
+    );
+    assert_eq!(compiles, 6);
 }
 
 #[test]

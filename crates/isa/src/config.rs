@@ -502,6 +502,39 @@ impl MachineConfig {
     pub fn count_class(&self, class: UnitClass) -> usize {
         self.units_of_class(class).count()
     }
+
+    /// The part of the configuration the compiler reads — the clusters,
+    /// their units and latencies, and `max_dsts` — with every field that
+    /// only the simulator reads reset to its default. Two configurations
+    /// with equal compile targets compile any source to the same program,
+    /// so a sweep compiles once per target and simulates the image under
+    /// each full configuration.
+    ///
+    /// The runtime-only fields are listed explicitly, so a field added
+    /// later stays part of the target until someone resets it here: a
+    /// new field can only cost reuse, never serve a stale program.
+    ///
+    /// ```
+    /// use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
+    ///
+    /// let a = MachineConfig::baseline().with_memory(MemoryModel::mem2());
+    /// let b = MachineConfig::baseline().with_interconnect(InterconnectScheme::SharedBus);
+    /// assert_eq!(a.compile_target(), b.compile_target());
+    /// assert_ne!(a.compile_target(), MachineConfig::with_mix(2, 3).compile_target());
+    /// ```
+    pub fn compile_target(&self) -> MachineConfig {
+        let defaults = MachineConfig::new(Vec::new());
+        MachineConfig {
+            interconnect: defaults.interconnect,
+            memory: defaults.memory,
+            arbitration: defaults.arbitration,
+            seed: defaults.seed,
+            max_threads: defaults.max_threads,
+            lockstep_issue: defaults.lockstep_issue,
+            wb_buffer: defaults.wb_buffer,
+            ..self.clone()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -622,6 +655,54 @@ mod tests {
             units: vec![UnitConfig::new(UnitClass::Integer).with_latency(0)],
         }]);
         assert_eq!(mc.units()[0].latency, 1);
+    }
+
+    #[test]
+    fn compile_target_ignores_runtime_fields_only() {
+        let base = MachineConfig::baseline();
+        let target = base.compile_target();
+        let runtime_variants = InterconnectScheme::all()
+            .into_iter()
+            .map(|s| base.clone().with_interconnect(s))
+            .chain(
+                [
+                    MemoryModel::min(),
+                    MemoryModel::mem1(),
+                    MemoryModel::mem2(),
+                    MemoryModel::mem1().with_banks(4),
+                ]
+                .into_iter()
+                .map(|m| base.clone().with_memory(m)),
+            )
+            .chain([1, 97, u64::MAX].map(|s| base.clone().with_seed(s)))
+            .chain([
+                base.clone()
+                    .with_arbitration(ArbitrationPolicy::FixedPriority),
+                base.clone().with_wb_buffer(1),
+                base.clone().with_lockstep_issue(true),
+                MachineConfig {
+                    max_threads: 3,
+                    ..base.clone()
+                },
+            ]);
+        for mc in runtime_variants {
+            assert_eq!(mc.compile_target(), target, "{mc:?}");
+        }
+        for mc in [
+            MachineConfig::with_mix(2, 3),
+            MachineConfig::with_mix(4, 4),
+            base.clone().with_unit_latency(UnitClass::Float, 3),
+            base.clone().with_max_dsts(1),
+            MachineConfig::workstation(),
+        ] {
+            assert_ne!(mc.compile_target(), target, "{mc:?}");
+        }
+        // Idempotent, and the compile-relevant fields survive.
+        assert_eq!(target.compile_target(), target);
+        let mix = MachineConfig::with_mix(2, 3).with_seed(5);
+        assert_eq!(mix.compile_target().units(), mix.units());
+        assert_eq!(mix.compile_target().clusters(), mix.clusters());
+        assert_eq!(mix.compile_target().max_dsts, mix.max_dsts);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Host-side telemetry for the simulator engines.
 //!
 //! [`crate::Machine::enable_host_telemetry`] attaches a
-//! [`HostTelemetry`] block that times each phase of
+//! `HostTelemetry` block that times each phase of
 //! `Machine::step` in *host* nanoseconds and counts the wake-repair
 //! machinery's events (bitmask rebuilds, dirty-mark repairs, order-rule
 //! re-grades, bulk idle skips). None of it touches simulated state, so a
