@@ -5,7 +5,7 @@
 //! shared decoded image, input setup, and the cycle loop — for the
 //! full benchmark × machine mode cross-product. Compilation *and*
 //! decode happen once per case outside the timed region: the compiler
-//! has its own bench (`toolchain_perf`), and decode is load-time work
+//! is timed by perfbench's traced layers, and decode is load-time work
 //! by design (`DecodedProgram` is built when a program is loaded and
 //! shared across every run of it, exactly as the sweep engine and the
 //! timed loop here use it). Coupled mode additionally gets a row on the
@@ -27,7 +27,9 @@ use coupling::sweep::{run_sweep, SweepOptions, SweepSpec, SweepSummary};
 use coupling::{benchmarks, default_jobs, run_benchmark, MachineMode};
 use criterion::{criterion_group, criterion_main, Criterion};
 use pc_isa::MachineConfig;
-use pc_sim::{DecodedProgram, EngineKind, Machine};
+use pc_sim::{DecodedProgram, EngineKind, Machine, StallProfiler};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,7 +113,8 @@ fn bench(c: &mut Criterion) {
                 }
             }
         }
-        // Traced-vs-untraced pair: Matrix/Coupled with stall profiling on.
+        // Traced-vs-untraced pair: Matrix/Coupled with a stall profiler
+        // attached, as `Observe::profile` runs it.
         // Compare against the plain Matrix/Coupled case above to see the
         // cost of observation; the untraced number is what the gate
         // protects (tracing off must stay free).
@@ -134,9 +137,12 @@ fn bench(c: &mut Criterion) {
             g.bench_function("Matrix/Coupled/profiled", |bench| {
                 bench.iter(|| {
                     let mut m = Machine::from_decoded(Arc::clone(&code)).unwrap();
-                    m.enable_profiling();
+                    let profiler = Rc::new(RefCell::new(StallProfiler::new(m.program())));
+                    m.attach_probe(Box::new(Rc::clone(&profiler)));
                     (b.setup)(&mut m).unwrap();
-                    m.run(CYCLE_LIMIT).unwrap()
+                    let mut stats = m.run(CYCLE_LIMIT).unwrap();
+                    stats.stalls = profiler.borrow().table();
+                    stats
                 })
             });
         }

@@ -1,12 +1,13 @@
-//! # pc-bench — the paper's evaluation as Criterion benches
+//! # pc-bench — the simulator throughput bench and its perf gate
 //!
-//! One bench target per table/figure. Each prints the regenerated
-//! table/series once, then times representative runs so regressions in
-//! simulator or compiler performance are visible:
+//! One Criterion bench, `simcore`, times the simulator hot loop for every
+//! benchmark × machine mode plus the Table-2 sweep, and writes
+//! `BENCH_simcore.json`; the `bench_gate` binary compares a fresh run
+//! against that baseline. The paper's tables and figures are printed by
+//! `pcsim tables <key>` and `examples/paper_tables.rs`, not by benches:
 //!
 //! ```sh
-//! cargo bench -p pc-bench --bench table2_baseline
-//! cargo bench -p pc-bench --bench fig6_comm
+//! cargo bench -p pc-bench --bench simcore
 //! ```
 
 /// Criterion sample count used by all benches (whole-program simulations

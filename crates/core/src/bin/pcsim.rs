@@ -34,6 +34,8 @@ use coupling::experiments::{
 use coupling::{benchmarks, run_benchmark_observed, MachineMode, Observe};
 use pc_compiler::ScheduleMode;
 use pc_isa::{ArbitrationPolicy, InterconnectScheme, MachineConfig, MemoryModel, UnitClass};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn usage() -> ! {
     eprintln!(
@@ -294,8 +296,11 @@ fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let symbols: Vec<String> = out.program.symbols.keys().cloned().collect();
     let mut m = pc_sim::Machine::new(config.clone(), out.program)?;
     let trace_cycles: Option<u64> = flag_value(args, "--trace").map(|s| s.parse()).transpose()?;
+    // The issue trace is the ring sink's issue events; unbounded, so the
+    // window's first cycles are never evicted.
+    let ring = Rc::new(RefCell::new(pc_sim::RingSink::new(usize::MAX)));
     if trace_cycles.is_some() {
-        m.enable_trace();
+        m.attach_probe(Box::new(Rc::clone(&ring)));
     }
     let stats = m.run(100_000_000)?;
     println!(
@@ -311,7 +316,7 @@ fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = trace_cycles {
         println!(
             "\n{}",
-            pc_sim::trace::render_interleaving(&config, m.trace(), 0..n)
+            pc_sim::trace::render_interleaving(&config, &ring.borrow().issue_events(), 0..n)
         );
     }
     Ok(())

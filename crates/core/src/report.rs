@@ -498,11 +498,11 @@ mod tests {
             cycles: 10,
             ..Default::default()
         };
-        stats.stalls.record_busy(0);
-        stats
-            .stalls
-            .record_stall(0, StallCause::LostArbitration, Some(UnitClass::Integer));
-        stats.stalls.record_stall(1, StallCause::EmptyRow, None);
+        let t = &mut stats.stalls;
+        t.record_busy(0);
+        let lost = StallCause::LostArbitration;
+        stall_at(t, 0, lost, Some(UnitClass::Integer), None, 1);
+        stall_at(t, 1, StallCause::EmptyRow, None, None, 1);
         let s = stall_report(&stats);
         assert!(s.contains("t0"), "{s}");
         assert!(s.contains("t1"));
@@ -517,6 +517,23 @@ mod tests {
     fn stall_report_notes_unprofiled_runs() {
         let s = stall_report(&pc_sim::RunStats::default());
         assert!(s.contains("not recorded"));
+    }
+
+    /// Records `n` stalled cycles the way `pc_sim::StallProfiler` folds
+    /// them: per thread and class, and per slot (or unattributed).
+    fn stall_at(
+        t: &mut pc_sim::StallTable,
+        thread: u32,
+        cause: pc_sim::StallCause,
+        class: Option<pc_isa::UnitClass>,
+        at: Option<(u32, u32, u16)>,
+        n: u64,
+    ) {
+        t.record_stall(thread, cause, class, n);
+        match at {
+            Some(key) => t.by_slot.entry(key).or_default()[cause.index()] += n,
+            None => t.unattributed[cause.index()] += n,
+        }
     }
 
     /// A two-line, one-loop debug map with counters on both lines plus
@@ -548,29 +565,14 @@ mod tests {
             ops_issued: 12,
             ..Default::default()
         };
-        for _ in 0..8 {
-            stats.stalls.record_issue_at(0, 0, 0);
-        }
-        for _ in 0..4 {
-            stats.stalls.record_issue_at(0, 2, 1);
-        }
-        for _ in 0..5 {
-            stats.stalls.record_stall_at(
-                0,
-                StallCause::LostArbitration,
-                Some(UnitClass::Integer),
-                Some((0, 1, 0)),
-            );
-        }
-        stats.stalls.record_stall_at(
-            0,
-            StallCause::MemoryBusy,
-            Some(UnitClass::Memory),
-            Some((0, 2, 1)),
-        );
-        stats
-            .stalls
-            .record_stall_at(1, StallCause::EmptyRow, None, None);
+        let t = &mut stats.stalls;
+        t.issued_by_slot.insert((0, 0, 0), 8);
+        t.issued_by_slot.insert((0, 2, 1), 4);
+        let lost = StallCause::LostArbitration;
+        stall_at(t, 0, lost, Some(UnitClass::Integer), Some((0, 1, 0)), 5);
+        let mem = StallCause::MemoryBusy;
+        stall_at(t, 0, mem, Some(UnitClass::Memory), Some((0, 2, 1)), 1);
+        stall_at(t, 1, StallCause::EmptyRow, None, None, 1);
         (stats, debug)
     }
 

@@ -5,11 +5,13 @@ use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use pc_compiler::{CompileError, ScheduleMode, SegmentInfo};
 use pc_isa::{DebugMap, MachineConfig, Program};
-use pc_sim::probe::{ChromeTraceSink, Fanout, JsonlSink};
+use pc_sim::probe::{ChromeTraceSink, Fanout, JsonlSink, StallProfiler};
 use pc_sim::{EngineKind, Machine, RunStats, SimError};
+use std::cell::RefCell;
 use std::fmt;
 use std::io::BufWriter;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Generous default cycle budget (the largest benchmark, LUD under Mem2,
@@ -121,8 +123,8 @@ pub fn run_benchmark_with_options(
 /// [`run_benchmark`]).
 #[derive(Debug, Clone, Default)]
 pub struct Observe {
-    /// Fold stall attribution into [`RunStats::stalls`]
-    /// (see `coupling::report::stall_report`).
+    /// Fold stall attribution into [`RunStats::stalls`] through a
+    /// [`StallProfiler`] sink (see `coupling::report::stall_report`).
     pub profile: bool,
     /// Stream one JSON event per line to this file.
     pub jsonl: Option<PathBuf>,
@@ -265,13 +267,16 @@ pub fn run_compiled(
     let mut machine = Machine::new_shared(config, Arc::clone(&compiled.program))?;
     machine.set_engine(observe.engine);
     (bench.setup)(&mut machine)?;
-    if observe.profile {
-        machine.enable_profiling();
-    }
     if observe.host_telemetry {
         machine.enable_host_telemetry();
     }
     let mut fan = Fanout::new();
+    let profiler = observe
+        .profile
+        .then(|| Rc::new(RefCell::new(StallProfiler::new(&compiled.program))));
+    if let Some(p) = &profiler {
+        fan = fan.with(Box::new(Rc::clone(p)));
+    }
     if let Some(path) = &observe.jsonl {
         let f = create_sink_file(path)?;
         fan = fan.with(Box::new(JsonlSink::new(BufWriter::new(f))));
@@ -286,9 +291,12 @@ pub fn run_compiled(
     if !fan.is_empty() {
         machine.attach_probe(Box::new(fan));
     }
-    let stats = machine.run(CYCLE_LIMIT)?;
+    let mut stats = machine.run(CYCLE_LIMIT)?;
     // Flush sink trailers before the stats leave the machine.
     machine.take_probe();
+    if let Some(p) = profiler {
+        stats.stalls = p.borrow().table();
+    }
     let engine = machine.engine();
     let host_profile = machine.host_profile();
     (bench.check)(&mut machine).map_err(RunError::Check)?;

@@ -586,14 +586,12 @@ mod tests {
     fn populated_stats() -> RunStats {
         let mut stalls = StallTable::default();
         stalls.record_busy(0);
-        stalls.record_stall_at(
-            0,
-            StallCause::OperandNotPresent,
-            Some(UnitClass::Float),
-            Some((1, 2, 3)),
-        );
-        stalls.record_stall_at(1, StallCause::EmptyRow, None, None);
-        stalls.record_issue_at(1, 2, 3);
+        let operand = StallCause::OperandNotPresent;
+        stalls.record_stall(0, operand, Some(UnitClass::Float), 1);
+        stalls.by_slot.entry((1, 2, 3)).or_default()[operand.index()] += 1;
+        stalls.record_stall(1, StallCause::EmptyRow, None, 1);
+        stalls.unattributed[StallCause::EmptyRow.index()] += 1;
+        stalls.issued_by_slot.insert((1, 2, 3), 1);
         let mut ops_by_class = BTreeMap::new();
         ops_by_class.insert(UnitClass::Integer, 10);
         ops_by_class.insert(UnitClass::Float, 20);

@@ -66,6 +66,7 @@ pub use error::SimError;
 pub use machine::{EngineKind, Machine};
 pub use probe::{
     ChromeTraceSink, EventCounts, Fanout, JsonlSink, Probe, ProbeEvent, RingSink, StallCause,
+    StallProfiler,
 };
 pub use regfile::RegFileSet;
 pub use stats::{ProbeRecord, RunStats, StallTable, ThreadStalls};

@@ -8,7 +8,7 @@ use crate::error::SimError;
 use crate::inline_vec::InlineVec;
 use crate::probe::{Probe, ProbeEvent, StallCause};
 use crate::regfile::RegFileSet;
-use crate::stats::{ProbeRecord, RunStats, StallTable};
+use crate::stats::{ProbeRecord, RunStats};
 use crate::telemetry::{
     HostProfile, HostTelemetry, PH_ADVANCE, PH_ISSUE, PH_MEM, PH_PIPE, PH_SKIP, PH_WAKE,
     PH_WRITEBACK,
@@ -257,30 +257,14 @@ enum Readiness {
     MemOrder,
 }
 
-/// Observability state. Everything here is off by default; the hot loop
-/// consults only the cached [`Obs::on`] flag, so an unobserved run pays
-/// a single predicted branch per emission point and allocates nothing.
+/// Observability state: the attached [`Probe`] sink — the machine's one
+/// guest-side observation path — and the scratch it needs. The hot loop
+/// tests only whether a sink is attached, so an unobserved run pays a
+/// single predicted branch per emission point and allocates nothing.
 #[derive(Default)]
 struct Obs {
-    /// Legacy issue trace for the Figure 1/2 renderers.
-    trace: Option<Vec<crate::trace::TraceEvent>>,
     /// Structured event sink.
     sink: Option<Box<dyn Probe>>,
-    /// Fold stall attribution into [`RunStats::stalls`].
-    profiling: bool,
-    /// Cached `sink.is_some() || profiling`.
-    on: bool,
-    /// Stall accounting (populated when `profiling`). The per-slot
-    /// breakdowns (`by_slot`, `issued_by_slot`) are kept in the dense
-    /// arrays below during the run and folded in by [`Machine::stats`].
-    stalls: StallTable,
-    /// Per segment, per row: base index of that row's slots in the dense
-    /// counter arrays (built by [`Machine::enable_profiling`]).
-    slot_base: Vec<Vec<u32>>,
-    /// Issued-operation counts per static slot, dense over the program.
-    issued_dense: Vec<u64>,
-    /// Stalled cycles per static slot × cause, dense over the program.
-    stalled_dense: Vec<[u64; StallCause::COUNT]>,
     /// Per-unit: was the unit's most recent writeback denial for bus
     /// capacity (true) rather than a write port (false)?
     wb_denied_bus: Vec<bool>,
@@ -297,18 +281,12 @@ impl Obs {
             ..Obs::default()
         }
     }
-
-    fn refresh(&mut self) {
-        self.on = self.sink.is_some() || self.profiling;
-    }
 }
 
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Obs")
-            .field("trace", &self.trace.as_ref().map(Vec::len))
             .field("sink", &self.sink.is_some())
-            .field("profiling", &self.profiling)
             .finish_non_exhaustive()
     }
 }
@@ -560,53 +538,17 @@ impl Machine {
         self.host.as_ref().map(|h| h.profile(self.code.decode_ns()))
     }
 
-    /// Starts recording one [`crate::trace::TraceEvent`] per issued
-    /// operation (for the Figure 1/2-style interleaving diagrams).
-    pub fn enable_trace(&mut self) {
-        self.obs.trace.get_or_insert_with(Vec::new);
-    }
-
-    /// The recorded issue trace (empty unless [`Machine::enable_trace`]
-    /// was called before running).
-    pub fn trace(&self) -> &[crate::trace::TraceEvent] {
-        self.obs.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Turns on stall attribution: every live thread's non-issuing
-    /// cycles are charged to a [`StallCause`] and folded into
-    /// [`RunStats::stalls`]. Observation never perturbs the simulated
-    /// schedule — only the accounting differs from an unprofiled run.
-    pub fn enable_profiling(&mut self) {
-        self.obs.profiling = true;
-        if self.obs.slot_base.is_empty() {
-            // Lay the program's slots out flat so the hot loop records
-            // issues and per-slot stalls with one array increment; the
-            // BTreeMap form the stall table exposes is rebuilt from
-            // these in `stats`.
-            let mut total = 0u32;
-            for seg in &self.program.segments {
-                let mut bases = Vec::with_capacity(seg.rows.len());
-                for row in &seg.rows {
-                    bases.push(total);
-                    total += row.len() as u32;
-                }
-                self.obs.slot_base.push(bases);
-            }
-            self.obs.issued_dense = vec![0; total as usize];
-            self.obs.stalled_dense = vec![[0; StallCause::COUNT]; total as usize];
-        }
-        self.obs.refresh();
-    }
-
     /// Attaches a [`Probe`] sink receiving the structured event stream
-    /// (issues, stalls, writebacks, arbitration losses, memory events).
-    /// Replaces any previous sink, finishing it first.
+    /// (issues, stalls, writebacks, arbitration losses, memory events) —
+    /// the issue trace for the Figure 1/2 renderers ([`crate::RingSink`])
+    /// and stall profiling ([`crate::StallProfiler`]) included. Replaces
+    /// any previous sink, finishing it first. Observation never perturbs
+    /// the simulated schedule.
     pub fn attach_probe(&mut self, sink: Box<dyn Probe>) {
         if let Some(mut old) = self.obs.sink.take() {
             old.finish();
         }
         self.obs.sink = Some(sink);
-        self.obs.refresh();
         self.mem.set_event_recording(true);
     }
 
@@ -617,7 +559,6 @@ impl Machine {
         if let Some(s) = &mut sink {
             s.finish();
         }
-        self.obs.refresh();
         self.mem.set_event_recording(false);
         sink
     }
@@ -657,31 +598,9 @@ impl Machine {
         self.live.is_empty() && self.pipe_total == 0 && self.wb_total == 0 && self.mem.quiescent()
     }
 
-    /// Snapshot of statistics so far.
+    /// Snapshot of statistics so far. The stall table is left empty: a
+    /// [`crate::StallProfiler`] sink folds it from the event stream.
     pub fn stats(&self) -> RunStats {
-        let mut stalls = self.obs.stalls.clone();
-        // Fold the dense per-slot counters into the stall table's map
-        // form, skipping slots that never issued or stalled.
-        for (si, bases) in self.obs.slot_base.iter().enumerate() {
-            for (ri, &base) in bases.iter().enumerate() {
-                let n = self.program.segments[si].rows[ri].len();
-                for s in 0..n {
-                    let idx = base as usize + s;
-                    let key = (si as u32, ri as u32, s as u16);
-                    let issued = self.obs.issued_dense[idx];
-                    if issued != 0 {
-                        *stalls.issued_by_slot.entry(key).or_insert(0) += issued;
-                    }
-                    let by_cause = &self.obs.stalled_dense[idx];
-                    if by_cause.iter().any(|&c| c != 0) {
-                        let e = stalls.by_slot.entry(key).or_insert([0; StallCause::COUNT]);
-                        for (d, &c) in e.iter_mut().zip(by_cause) {
-                            *d += c;
-                        }
-                    }
-                }
-            }
-        }
         RunStats {
             cycles: self.cycle,
             ops_issued: self.ops_issued,
@@ -712,7 +631,7 @@ impl Machine {
             xconn: self.xconn.stats(),
             busy_cycles: self.busy_cycles,
             peak_threads: self.peak_threads,
-            stalls,
+            stalls: Default::default(),
         }
     }
 
@@ -820,7 +739,7 @@ impl Machine {
                 h.timers.stop(PH_MEM, t0);
             }
         }
-        if self.obs.on {
+        if self.obs.sink.is_some() {
             self.drain_mem_events(now);
         }
 
@@ -845,11 +764,12 @@ impl Machine {
             self.busy_cycles += 1;
         }
 
-        // ---- Attribution (observing runs only): charge every live
-        // thread's cycle to issue or a stall cause, after issue decided
-        // and before row advance clobbers the row state it explains.
-        if self.obs.on {
-            self.attribute_cycle(now);
+        // ---- Attribution (observing runs only): report every live
+        // thread that issued nothing with its stall cause, after issue
+        // decided and before row advance clobbers the row state it
+        // explains. Guarded here too so unobserved cycles skip the call.
+        if self.obs.sink.is_some() {
+            self.attribute(now, 1);
         }
 
         // ---- Phase C: row advance / control transfer ----------------------
@@ -875,20 +795,19 @@ impl Machine {
     /// cycle where anything can happen — the earliest pipeline or
     /// memory-system completion.
     ///
-    /// Only taken when every writeback queue is empty and no event sink
-    /// is attached: the machine state is then frozen over the span (no
-    /// completion, no retirement, and re-evaluating issue on identical
-    /// inputs issues nothing — the opening cycle proved that), so each
-    /// skipped cycle would have replayed the same non-event. Stall
-    /// attribution is charged retroactively for the whole span with the
-    /// causes the per-cycle engine would have recorded, preserving
-    /// `alive == busy + Σcauses`. The jump is capped at `limit` so
+    /// Only taken when every writeback queue is empty: the machine state
+    /// is then frozen over the span (no completion, no retirement, and
+    /// re-evaluating issue on identical inputs issues nothing — the
+    /// opening cycle proved that), so each skipped cycle would have
+    /// replayed the same non-event. An attached sink receives the span as
+    /// one stall event per thread covering all of its cycles, with the
+    /// causes the per-cycle engine would have reported, so observed runs
+    /// skip too. The jump is capped at `limit` so
     /// [`SimError::CycleLimit`] fires at the same cycle with the same
     /// attribution as under per-cycle stepping.
     fn skip_idle_span(&mut self, limit: u64) {
-        if self.engine == EngineKind::Scan || self.obs.sink.is_some() {
-            // The reference engine steps every cycle by definition, and
-            // sinks receive per-cycle stall events.
+        if self.engine == EngineKind::Scan {
+            // The reference engine steps every cycle by definition.
             return;
         }
         if self.wb_total != 0 {
@@ -908,37 +827,8 @@ impl Machine {
         if target <= self.cycle {
             return;
         }
-        let span = target - self.cycle;
-        if self.obs.profiling {
-            self.attribute_span(span);
-        }
+        self.attribute(self.cycle, target - self.cycle);
         self.cycle = target;
-    }
-
-    /// Retroactive stall attribution for a skipped idle span (profiled
-    /// runs only): the state is frozen, so each thread's stall cause is
-    /// identical on every cycle of the span and can be charged in one
-    /// call. No thread issued on the cycle that opened the span, so
-    /// every charge is a stall, never busy.
-    fn attribute_span(&mut self, span: u64) {
-        for idx in 0..self.live.len() {
-            let ti = self.live[idx];
-            let t = &self.threads[ti as usize];
-            if t.state != ThreadState::Running {
-                continue;
-            }
-            let (cause, class, at) = self.stall_reason(t);
-            self.obs
-                .stalls
-                .record_stall_thread_n(ti, cause, class, span);
-            match at {
-                Some((seg, row, slot)) => {
-                    let base = self.obs.slot_base[seg as usize][row as usize];
-                    self.obs.stalled_dense[base as usize + slot as usize][cause.index()] += span;
-                }
-                None => self.obs.stalls.unattributed[cause.index()] += span,
-            }
-        }
     }
 
     /// True when latent in-flight work guarantees progress on a later
@@ -982,37 +872,28 @@ impl Machine {
         self.obs.mem_events = events;
     }
 
-    /// Charges each live running thread's cycle to issue or to a primary
-    /// stall cause. Runs only when observing; the accounting invariant is
+    /// Reports each live running thread that did not issue at `now` to
+    /// the sink as one stall of `cycles` cycles with its primary cause —
+    /// the single attribution path for stepped cycles (`cycles == 1`) and
+    /// skipped idle spans alike. Threads that issued are busy; the sink
+    /// learns that from their issue events, so a profiler keeps
     /// `alive == busy + Σ by_cause` per thread (see
-    /// [`crate::StallTable`]).
-    fn attribute_cycle(&mut self, now: u64) {
+    /// [`crate::StallTable`]). A no-op without a sink.
+    fn attribute(&mut self, now: u64, cycles: u64) {
+        if self.obs.sink.is_none() {
+            return;
+        }
         for idx in 0..self.live.len() {
             let ti = self.live[idx];
             let t = &self.threads[ti as usize];
-            if t.state != ThreadState::Running {
-                continue;
-            }
-            if t.last_issue == now {
-                if self.obs.profiling {
-                    self.obs.stalls.record_busy(ti);
-                }
+            if t.state != ThreadState::Running || t.last_issue == now {
                 continue;
             }
             let (cause, class, at) = self.stall_reason(t);
-            if self.obs.profiling {
-                self.obs.stalls.record_stall_thread(ti, cause, class);
-                match at {
-                    Some((seg, row, slot)) => {
-                        let base = self.obs.slot_base[seg as usize][row as usize];
-                        self.obs.stalled_dense[base as usize + slot as usize][cause.index()] += 1;
-                    }
-                    None => self.obs.stalls.unattributed[cause.index()] += 1,
-                }
-            }
             if let Some(sink) = &mut self.obs.sink {
                 sink.event(&ProbeEvent::Stall {
                     cycle: now,
+                    cycles,
                     thread: ti,
                     cause,
                     class,
@@ -1317,7 +1198,7 @@ impl Machine {
         // cannot skew the dirty marking either: every control transfer
         // marks the thread dirty itself ([`Thread::enter_row`]), which
         // forces the same exact rebuild at the next issue phase.
-        if !self.obs.on && self.xconn.contention_free() {
+        if self.obs.sink.is_none() && self.xconn.contention_free() {
             let flats = sm.dsts_flat.clone();
             self.xconn
                 .record_uncontended_grants(flats.len() as u64, u64::from(sm.wb_remote));
@@ -1376,7 +1257,7 @@ impl Machine {
         // arbitration wholesale. Observed runs keep the explained path
         // (its per-request decisions feed the sink and the denial
         // attribution) — both paths produce identical stats.
-        if !self.obs.on && self.xconn.contention_free() {
+        if self.obs.sink.is_none() && self.xconn.contention_free() {
             return self.retire_writebacks_uncontended();
         }
         // Gather (queue, entry) pairs oldest-first.
@@ -1405,7 +1286,7 @@ impl Machine {
             }
         }
         let mut grants = mem::take(&mut self.scratch.wb_grants);
-        if self.obs.on {
+        if self.obs.sink.is_some() {
             // Explained arbitration takes the identical decisions (it
             // shares the plain path's decision function) but classifies
             // each denial, feeding BusFull/WritePortFull attribution and
@@ -2054,13 +1935,9 @@ impl Machine {
         let was_clean = !t.ready_dirty;
         self.ops_issued += 1;
         self.ops_by_unit[fu.0 as usize] += 1;
-        if self.obs.profiling {
-            let base = self.obs.slot_base[seg_id.0 as usize][row as usize];
-            self.obs.issued_dense[base as usize + slot_idx] += 1;
-        }
-        if self.obs.trace.is_some() || self.obs.sink.is_some() {
+        if let Some(sink) = &mut self.obs.sink {
             let (_, op) = &self.program.segment(seg_id).rows[row as usize].slots()[slot_idx];
-            let ev = crate::trace::TraceEvent {
+            sink.event(&ProbeEvent::Issue(crate::trace::TraceEvent {
                 cycle: now,
                 fu,
                 thread: tid.0,
@@ -2068,13 +1945,7 @@ impl Machine {
                 seg: seg_id.0,
                 row,
                 slot: slot_idx as u16,
-            };
-            if let Some(sink) = &mut self.obs.sink {
-                sink.event(&ProbeEvent::Issue(ev.clone()));
-            }
-            if let Some(trace) = &mut self.obs.trace {
-                trace.push(ev);
-            }
+            }));
         }
 
         // The op index rides the pipeline entry and the memory token, so
@@ -2956,19 +2827,30 @@ mod tests {
         p
     }
 
+    /// Runs `m` with a [`crate::StallProfiler`] attached, returning the
+    /// stats and the profiler's stall table.
+    fn run_profiled(mut m: Machine, limit: u64) -> (RunStats, crate::StallTable) {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let profiler = Rc::new(RefCell::new(crate::StallProfiler::new(m.program())));
+        m.attach_probe(Box::new(Rc::clone(&profiler)));
+        let stats = m.run(limit).unwrap();
+        let table = profiler.borrow().table();
+        (stats, table)
+    }
+
     #[test]
     fn profiling_attributes_every_live_cycle() {
-        let mut m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
-        m.enable_profiling();
-        let stats = m.run(10_000).unwrap();
-        assert!(!stats.stalls.is_empty());
-        assert!(stats.stalls.consistent(), "alive != busy + stalls");
+        let m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
+        let (stats, stalls) = run_profiled(m, 10_000);
+        assert!(!stalls.is_empty());
+        assert!(stalls.consistent(), "alive != busy + stalls");
         // Two threads fight for one integer unit: someone must lose
         // arbitration, and the loser's blocked slot is an integer op.
-        assert!(stats.stalls.total_cause(StallCause::LostArbitration) > 0);
-        assert!(stats.stalls.by_class.contains_key(&UnitClass::Integer));
+        assert!(stalls.total_cause(StallCause::LostArbitration) > 0);
+        assert!(stalls.by_class.contains_key(&UnitClass::Integer));
         // No thread can be attributed more cycles than the run had.
-        for t in &stats.stalls.threads {
+        for t in &stalls.threads {
             assert!(t.alive <= stats.cycles);
         }
     }
@@ -2977,12 +2859,9 @@ mod tests {
     fn profiling_does_not_perturb_the_schedule() {
         let mut plain = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
         let base = plain.run(10_000).unwrap();
-        let mut profiled = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
-        profiled.enable_profiling();
-        profiled.enable_trace();
-        let mut observed = profiled.run(10_000).unwrap();
-        assert!(!observed.stalls.is_empty());
-        observed.stalls = Default::default();
+        let profiled = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
+        let (observed, stalls) = run_profiled(profiled, 10_000);
+        assert!(!stalls.is_empty());
         assert_eq!(base, observed);
     }
 
@@ -2997,9 +2876,10 @@ mod tests {
                 let mut m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
                 m.set_engine(kind);
                 if profiled {
-                    m.enable_profiling();
+                    run_profiled(m, 10_000)
+                } else {
+                    (m.run(10_000).unwrap(), crate::StallTable::default())
                 }
-                m.run(10_000).unwrap()
             };
             assert_eq!(
                 run(EngineKind::Decoded),

@@ -1,18 +1,28 @@
-//! Observability: a structured per-cycle event stream and pluggable
-//! sinks.
+//! Observability: the one guest-side observation path of the simulator
+//! — a structured per-cycle event stream and pluggable sinks.
 //!
 //! The machine emits one [`ProbeEvent`] per interesting micro-action —
 //! operation issue, stall with an attributed cause, writeback retirement,
 //! function-unit arbitration loss, interconnect write denial, memory bank
-//! conflict, synchronization park/wake — into any [`Probe`] sink attached
-//! with [`crate::Machine::attach_probe`]. With no sink attached (and
-//! profiling off) the hot loop takes a single predicted branch and
-//! allocates nothing, exactly as before.
+//! conflict, synchronization park/wake — into the [`Probe`] sink attached
+//! with [`crate::Machine::attach_probe`]. With no sink attached the hot
+//! loop takes a single predicted branch per emission point and allocates
+//! nothing.
 //!
-//! Three sinks ship with the simulator:
+//! A `stall` event covers [`ProbeEvent::Stall::cycles`] cycles: 1 on a
+//! stepped cycle, the whole span when the decoded engine jumps over a
+//! frozen idle span (every skipped cycle would have produced the same
+//! stall). Sinks therefore see every cycle either way, and the bulk skip
+//! stays on while observing.
+//!
+//! Four sinks ship with the simulator:
 //!
 //! * [`RingSink`] — a bounded in-memory ring buffer (keeps the last *N*
-//!   events; per-kind counts are exact over the whole run);
+//!   events; per-kind counts are exact over the whole run); its
+//!   [`RingSink::issue_events`] feed the Figure 1/2 renderers in
+//!   [`crate::trace`];
+//! * [`StallProfiler`] — folds `issue` and `stall` events into the
+//!   [`StallTable`] reported as [`crate::RunStats::stalls`];
 //! * [`JsonlSink`] — one JSON object per line, streamed to any
 //!   [`std::io::Write`];
 //! * [`ChromeTraceSink`] — the Chrome `trace_event` JSON array format,
@@ -20,13 +30,13 @@
 //!   each simulated thread becomes a track (process) and each function
 //!   unit a lane (thread) within it.
 //!
-//! [`Fanout`] combines sinks. Stall-cycle *accounting* (as opposed to the
-//! raw event stream) is folded into [`crate::RunStats::stalls`] when
-//! [`crate::Machine::enable_profiling`] is on — see
-//! [`crate::stats::StallTable`].
+//! [`Fanout`] combines sinks. Host-side telemetry
+//! ([`crate::Machine::enable_host_telemetry`]) is deliberately not a
+//! probe: it times the simulator, not the simulated machine.
 
+use crate::stats::StallTable;
 use crate::trace::TraceEvent;
-use pc_isa::{FuId, UnitClass};
+use pc_isa::{FuId, Program, UnitClass};
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
@@ -102,15 +112,19 @@ impl StallCause {
 /// ids are dense spawn-order ids (matching [`crate::RunStats`] vectors).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProbeEvent {
-    /// An operation issued (the payload is the legacy trace record, so
-    /// the Figure 1/2 renderers consume the same stream).
+    /// An operation issued (the payload is the record the Figure 1/2
+    /// renderers in [`crate::trace`] read).
     Issue(TraceEvent),
-    /// A live thread issued nothing this cycle; `cause` is the primary
-    /// attributed reason and `class` the unit class of the blocked slot
-    /// (absent for control bubbles).
+    /// A live thread issued nothing for `cycles` cycles starting at
+    /// `cycle`; `cause` is the primary attributed reason and `class` the
+    /// unit class of the blocked slot (absent for control bubbles).
     Stall {
-        /// Cycle of the stall.
+        /// First cycle of the stall.
         cycle: u64,
+        /// Cycles covered: 1 on a stepped cycle, the span length on a
+        /// bulk-skipped idle span (the state is frozen over the span, so
+        /// every cycle of it has this same stall).
+        cycles: u64,
         /// The stalled thread.
         thread: u32,
         /// Primary attributed cause.
@@ -214,6 +228,7 @@ impl ProbeEvent {
             ),
             ProbeEvent::Stall {
                 cycle,
+                cycles,
                 thread,
                 cause,
                 class,
@@ -225,7 +240,7 @@ impl ProbeEvent {
                     .unwrap_or_else(|| "null".to_string());
                 write!(
                     out,
-                    r#"{{"kind":"stall","cycle":{cycle},"thread":{thread},"cause":"{}","class":"{class}","at":{at}}}"#,
+                    r#"{{"kind":"stall","cycle":{cycle},"cycles":{cycles},"thread":{thread},"cause":"{}","class":"{class}","at":{at}}}"#,
                     cause.label()
                 )
             }
@@ -370,7 +385,7 @@ impl RingSink {
         self.buf.iter()
     }
 
-    /// Retained `issue` events as legacy trace records (renderer input).
+    /// Retained `issue` events as trace records (renderer input).
     pub fn issue_events(&self) -> Vec<TraceEvent> {
         self.buf
             .iter()
@@ -400,6 +415,111 @@ impl Probe for RingSink {
             self.dropped += 1;
         }
         self.buf.push_back(e.clone());
+    }
+}
+
+/// Built-in sink folding `issue` and `stall` events into a
+/// [`StallTable`] — the stall profiler behind [`crate::RunStats::stalls`].
+/// A thread is busy on a cycle it issued on and charged each stall event's
+/// `cycles` otherwise, so `alive == busy + Σ causes` holds per thread.
+/// Per-slot counts live in dense arrays laid out over the program's slots
+/// (one increment per event) and are folded into the table's map form by
+/// [`StallProfiler::table`].
+#[derive(Debug)]
+pub struct StallProfiler {
+    /// Per-thread, per-class and unattributed counters.
+    table: StallTable,
+    /// Per segment, per row: index of the row's first slot in the dense
+    /// arrays.
+    slot_base: Vec<Vec<u32>>,
+    /// Static-code coordinate of each dense index.
+    keys: Vec<(u32, u32, u16)>,
+    /// Issued operations per static slot.
+    issued: Vec<u64>,
+    /// Stalled cycles per static slot × cause.
+    stalled: Vec<[u64; StallCause::COUNT]>,
+    /// Per thread: the cycle last charged busy (`u64::MAX` = never), so
+    /// several issues in one cycle count one busy cycle.
+    busy_at: Vec<u64>,
+}
+
+impl StallProfiler {
+    /// A profiler for runs of `program` (sizes the per-slot arrays).
+    pub fn new(program: &Program) -> Self {
+        let mut slot_base = Vec::with_capacity(program.segments.len());
+        let mut keys = Vec::new();
+        for (si, seg) in program.segments.iter().enumerate() {
+            let mut bases = Vec::with_capacity(seg.rows.len());
+            for (ri, row) in seg.rows.iter().enumerate() {
+                bases.push(keys.len() as u32);
+                keys.extend((0..row.len()).map(|s| (si as u32, ri as u32, s as u16)));
+            }
+            slot_base.push(bases);
+        }
+        StallProfiler {
+            table: StallTable::default(),
+            slot_base,
+            issued: vec![0; keys.len()],
+            stalled: vec![[0; StallCause::COUNT]; keys.len()],
+            keys,
+            busy_at: Vec::new(),
+        }
+    }
+
+    fn index(&self, seg: u32, row: u32, slot: u16) -> usize {
+        self.slot_base[seg as usize][row as usize] as usize + slot as usize
+    }
+
+    /// The stall table so far, per-slot breakdowns included (slots that
+    /// never issued or stalled are omitted).
+    pub fn table(&self) -> StallTable {
+        let mut t = self.table.clone();
+        for (i, &key) in self.keys.iter().enumerate() {
+            if self.issued[i] != 0 {
+                t.issued_by_slot.insert(key, self.issued[i]);
+            }
+            if self.stalled[i].iter().any(|&c| c != 0) {
+                t.by_slot.insert(key, self.stalled[i]);
+            }
+        }
+        t
+    }
+}
+
+impl Probe for StallProfiler {
+    fn event(&mut self, e: &ProbeEvent) {
+        match e {
+            ProbeEvent::Issue(ev) => {
+                let i = self.index(ev.seg, ev.row, ev.slot);
+                self.issued[i] += 1;
+                let t = ev.thread as usize;
+                if t >= self.busy_at.len() {
+                    self.busy_at.resize(t + 1, u64::MAX);
+                }
+                if self.busy_at[t] != ev.cycle {
+                    self.busy_at[t] = ev.cycle;
+                    self.table.record_busy(ev.thread);
+                }
+            }
+            ProbeEvent::Stall {
+                cycles,
+                thread,
+                cause,
+                class,
+                at,
+                ..
+            } => {
+                self.table.record_stall(*thread, *cause, *class, *cycles);
+                match at {
+                    Some((s, r, sl)) => {
+                        let i = self.index(*s, *r, *sl);
+                        self.stalled[i][cause.index()] += cycles;
+                    }
+                    None => self.table.unattributed[cause.index()] += cycles,
+                }
+            }
+            _ => {}
+        }
     }
 }
 
@@ -483,7 +603,8 @@ impl<W: Write> Probe for JsonlSink<W> {
 /// trace thread, `tid = unit id`), so one glance shows which units each
 /// thread occupied cycle by cycle. Issues become 1-cycle duration (`X`)
 /// events with the mnemonic as the name; stalls become instant (`i`)
-/// events on a synthetic `stalls` lane. Timestamps are in "microseconds"
+/// events on a synthetic `stalls` lane, with the cycles they cover in
+/// `args.cycles`. Timestamps are in "microseconds"
 /// = simulation cycles.
 pub struct ChromeTraceSink<W: Write> {
     w: W,
@@ -623,6 +744,7 @@ impl<W: Write> Probe for ChromeTraceSink<W> {
             }
             ProbeEvent::Stall {
                 cycle,
+                cycles,
                 thread,
                 cause,
                 at,
@@ -632,14 +754,8 @@ impl<W: Write> Probe for ChromeTraceSink<W> {
                 let src = at
                     .map(|(s, r, sl)| self.src_args(s, r, sl))
                     .unwrap_or_default();
-                let args = if src.is_empty() {
-                    String::new()
-                } else {
-                    // src starts with a comma; strip it inside the object.
-                    format!(r#","args":{{{}}}"#, &src[1..])
-                };
                 let rec = format!(
-                    r#"{{"ph":"i","name":"{}","cat":"stall","s":"t","ts":{cycle},"pid":{thread},"tid":{STALL_LANE}{args}}}"#,
+                    r#"{{"ph":"i","name":"{}","cat":"stall","s":"t","ts":{cycle},"pid":{thread},"tid":{STALL_LANE},"args":{{"cycles":{cycles}{src}}}}}"#,
                     cause.label()
                 );
                 self.push_record(&rec);
@@ -736,6 +852,7 @@ mod tests {
         }
         ring.event(&ProbeEvent::Stall {
             cycle: 5,
+            cycles: 1,
             thread: 0,
             cause: StallCause::EmptyRow,
             class: None,
@@ -779,6 +896,7 @@ mod tests {
         sink.event(&issue(1, 0, 1)); // same lane: no second metadata pair
         sink.event(&ProbeEvent::Stall {
             cycle: 2,
+            cycles: 3,
             thread: 1,
             cause: StallCause::MemoryBusy,
             class: Some(UnitClass::Memory),
@@ -799,6 +917,68 @@ mod tests {
         // (thread 1's u0 lane, thread 1's stalls lane).
         assert_eq!(text.matches(r#""thread_name""#).count(), 2);
         assert!(text.contains(r#""name":"memory""#));
+        assert!(text.contains(r#""args":{"cycles":3}"#), "{text}");
+    }
+
+    #[test]
+    fn stall_profiler_folds_issues_and_stall_spans() {
+        use pc_isa::{ClusterId, CodeSegment, InstWord, IntOp, Operand, Operation, RegId};
+        let mut row = InstWord::new();
+        for fu in [0, 3] {
+            let add = vec![Operand::ImmInt(1), Operand::ImmInt(2)];
+            row.push(
+                FuId(fu),
+                Operation::int(IntOp::Add, add, RegId::new(ClusterId(0), 0)),
+            );
+        }
+        let mut seg = CodeSegment::new("main");
+        seg.rows = vec![InstWord::new(), row];
+        let mut program = Program::new();
+        program.add_segment(seg);
+
+        let mut p = StallProfiler::new(&program);
+        let at = |slot: u16| {
+            ProbeEvent::Issue(TraceEvent {
+                cycle: 0,
+                fu: FuId(slot * 3),
+                thread: 0,
+                mnemonic: "add",
+                seg: 0,
+                row: 1,
+                slot,
+            })
+        };
+        // Two issues in one cycle are one busy cycle.
+        p.event(&at(0));
+        p.event(&at(1));
+        p.event(&ProbeEvent::Stall {
+            cycle: 1,
+            cycles: 4,
+            thread: 0,
+            cause: StallCause::OperandNotPresent,
+            class: Some(UnitClass::Integer),
+            at: Some((0, 1, 1)),
+        });
+        p.event(&ProbeEvent::Stall {
+            cycle: 5,
+            cycles: 1,
+            thread: 1,
+            cause: StallCause::EmptyRow,
+            class: None,
+            at: None,
+        });
+        let t = p.table();
+        assert!(t.consistent());
+        assert_eq!((t.threads[0].alive, t.threads[0].busy), (5, 1));
+        assert_eq!(t.threads[0].cause(StallCause::OperandNotPresent), 4);
+        assert_eq!(t.threads[1].stalled(), 1);
+        assert_eq!(t.issued_by_slot.len(), 2);
+        assert_eq!(
+            t.by_slot[&(0, 1, 1)][StallCause::OperandNotPresent.index()],
+            4
+        );
+        assert_eq!(t.by_class[&UnitClass::Integer].iter().sum::<u64>(), 4);
+        assert_eq!(t.unattributed[StallCause::EmptyRow.index()], 1);
     }
 
     #[test]
@@ -831,6 +1011,7 @@ mod tests {
             issue(1, 2, 3),
             ProbeEvent::Stall {
                 cycle: 1,
+                cycles: 1,
                 thread: 0,
                 cause: StallCause::LostArbitration,
                 class: Some(UnitClass::Integer),

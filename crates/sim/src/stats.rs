@@ -1,5 +1,11 @@
 //! Run statistics: the numbers the paper's tables and figures are built
 //! from.
+//!
+//! [`RunStats`] is what [`crate::Machine::run`] returns. Its stall table
+//! is not kept by the machine: [`crate::StallProfiler`], a probe like any
+//! other sink, folds it from the `issue` and `stall` event stream, and the
+//! caller stores the result in [`RunStats::stalls`] (as
+//! `coupling::run_benchmark_observed` does for profiled runs).
 
 use crate::probe::StallCause;
 use pc_isa::UnitClass;
@@ -48,9 +54,9 @@ impl ThreadStalls {
 }
 
 /// Stall-attribution table: per-thread and per-unit-class breakdowns of
-/// why issue slots went unused. Populated only when
-/// [`crate::Machine::enable_profiling`] is on; otherwise empty (and two
-/// runs differing only in profiling compare equal after clearing it).
+/// why issue slots went unused, as folded by a [`crate::StallProfiler`].
+/// Empty in the stats of an unprofiled run (and two runs differing only
+/// in profiling compare equal after clearing it).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StallTable {
     /// Per-thread accounting, indexed by thread id.
@@ -67,7 +73,7 @@ pub struct StallTable {
     /// Stalled cycles whose stall had no specific blocked slot.
     pub unattributed: [u64; StallCause::COUNT],
     /// Operations issued per static-code coordinate (populated alongside
-    /// the stall counters when profiling is on).
+    /// the stall counters when profiling).
     pub issued_by_slot: BTreeMap<(u32, u32, u16), u64>,
 }
 
@@ -84,49 +90,13 @@ impl StallTable {
         t.busy += 1;
     }
 
-    /// Records a stalled cycle for `thread` with its primary cause and,
-    /// when a specific slot was blocked, that slot's unit class.
-    pub fn record_stall(&mut self, thread: u32, cause: StallCause, class: Option<UnitClass>) {
-        self.record_stall_at(thread, cause, class, None);
-    }
-
-    /// [`StallTable::record_stall`] carrying the blocked slot's
-    /// static-code coordinate `(segment, row, slot)` when one exists.
-    pub fn record_stall_at(
-        &mut self,
-        thread: u32,
-        cause: StallCause,
-        class: Option<UnitClass>,
-        at: Option<(u32, u32, u16)>,
-    ) {
-        self.record_stall_thread(thread, cause, class);
-        match at {
-            Some(key) => {
-                self.by_slot.entry(key).or_insert([0; StallCause::COUNT])[cause.index()] += 1;
-            }
-            None => self.unattributed[cause.index()] += 1,
-        }
-    }
-
-    /// The per-thread and per-class half of [`StallTable::record_stall_at`]
-    /// alone. For callers that account the blocked slot's coordinate in
-    /// their own dense counters (the simulator's hot path) and fold the
-    /// per-slot breakdown in at snapshot time — [`StallTable::consistent`]
-    /// only holds once that fold has happened.
-    pub fn record_stall_thread(
-        &mut self,
-        thread: u32,
-        cause: StallCause,
-        class: Option<UnitClass>,
-    ) {
-        self.record_stall_thread_n(thread, cause, class, 1);
-    }
-
-    /// [`StallTable::record_stall_thread`] charging `n` identical cycles
-    /// in one call. The bulk idle-skip path attributes a frozen span
-    /// retroactively: the machine state cannot change over the span, so
-    /// each skipped cycle would have recorded exactly this stall.
-    pub fn record_stall_thread_n(
+    /// Records `n` stalled cycles for `thread` with their primary cause
+    /// and, when a specific slot was blocked, that slot's unit class. The
+    /// per-slot half (`by_slot` or `unattributed`) is the caller's:
+    /// [`crate::StallProfiler`] keeps it in dense counters and folds it in
+    /// at snapshot time, and [`StallTable::consistent`] only holds once
+    /// that fold has happened.
+    pub fn record_stall(
         &mut self,
         thread: u32,
         cause: StallCause,
@@ -139,11 +109,6 @@ impl StallTable {
         if let Some(c) = class {
             self.by_class.entry(c).or_insert([0; StallCause::COUNT])[cause.index()] += n;
         }
-    }
-
-    /// Records one issued operation at a static-code coordinate.
-    pub fn record_issue_at(&mut self, seg: u32, row: u32, slot: u16) {
-        *self.issued_by_slot.entry((seg, row, slot)).or_insert(0) += 1;
     }
 
     fn slot(&mut self, thread: u32) -> &mut ThreadStalls {
@@ -216,7 +181,8 @@ pub struct RunStats {
     pub busy_cycles: u64,
     /// Peak simultaneously live threads.
     pub peak_threads: usize,
-    /// Stall attribution (empty unless profiling was enabled).
+    /// Stall attribution (empty unless the run was profiled with a
+    /// [`crate::StallProfiler`]).
     pub stalls: StallTable,
 }
 
@@ -303,9 +269,15 @@ mod tests {
         let mut t = StallTable::default();
         assert!(t.is_empty());
         t.record_busy(0);
-        t.record_stall(0, StallCause::OperandNotPresent, Some(UnitClass::Integer));
-        t.record_stall(1, StallCause::EmptyRow, None);
-        t.record_stall(0, StallCause::MemoryBusy, Some(UnitClass::Memory));
+        t.record_stall(
+            0,
+            StallCause::OperandNotPresent,
+            Some(UnitClass::Integer),
+            1,
+        );
+        t.record_stall(1, StallCause::EmptyRow, None, 1);
+        t.record_stall(0, StallCause::MemoryBusy, Some(UnitClass::Memory), 1);
+        t.unattributed = [1, 0, 0, 0, 1, 1];
         assert!(!t.is_empty());
         assert!(t.consistent());
         assert_eq!(t.total_alive(), 4);

@@ -1,6 +1,8 @@
 //! Issue tracing: per-cycle records of which thread ran what on which
 //! unit, and a renderer reproducing the interleaving diagrams of the
-//! paper's Figures 1 and 2.
+//! paper's Figures 1 and 2. The records are the payloads of the machine's
+//! `issue` probe events; attach a [`crate::RingSink`] and render its
+//! [`crate::RingSink::issue_events`].
 //!
 //! The renderers are **cycle-indexed**: events are bucketed into a
 //! `(cycle, unit)` grid in one pass, so rendering an `R`-cycle window
@@ -42,9 +44,18 @@ struct Grid {
 }
 
 impl Grid {
+    /// Buckets `events` over `cycles`, whose end is first clamped to one
+    /// past the last event: later rows could only be empty, and an
+    /// unclamped window (`pcsim exec --trace 18446744073709551615`) would
+    /// allocate `rows × units` cells for them.
     fn build(config: &MachineConfig, events: &[TraceEvent], cycles: &std::ops::Range<u64>) -> Grid {
         let units = config.units().len();
-        let rows = usize::try_from(cycles.end.saturating_sub(cycles.start)).unwrap_or(0);
+        let last = events.iter().map(|e| e.cycle.saturating_add(1)).max();
+        let end = cycles.end.min(last.unwrap_or(0));
+        let rows = usize::try_from(end.saturating_sub(cycles.start))
+            .ok()
+            .filter(|r| r.checked_mul(units).is_some())
+            .unwrap_or(0);
         let mut cells = vec![None; rows * units];
         for (i, e) in events.iter().enumerate() {
             if !cycles.contains(&e.cycle) {
@@ -90,6 +101,7 @@ pub fn render_interleaving(
 ) -> String {
     let units = config.units();
     let grid = Grid::build(config, events, &cycles);
+    let cycles = grid.start..grid.start + grid.rows as u64;
 
     // Column widths: header vs. widest cell in that column.
     let mut widths: Vec<usize> = units
@@ -135,7 +147,7 @@ pub fn render_interleaving(
 /// Renders the mapping of function units to threads for one cycle — the
 /// paper's Figure 2. Units that issued nothing map to `-`.
 pub fn render_unit_mapping(config: &MachineConfig, events: &[TraceEvent], cycle: u64) -> String {
-    let grid = Grid::build(config, events, &(cycle..cycle + 1));
+    let grid = Grid::build(config, events, &(cycle..cycle.saturating_add(1)));
     let mut s = format!("cycle {cycle}: ");
     for (u, unit) in config.units().iter().enumerate() {
         let owner = grid
@@ -263,6 +275,32 @@ mod tests {
             "", "t0 fadd", "", ""
         ));
         assert_eq!(s, expected);
+    }
+
+    #[test]
+    fn unbounded_window_renders_only_the_traced_cycles() {
+        let mc = MachineConfig::workstation();
+        let events = vec![
+            ev(0, 0, 0, "add"),
+            ev(0, 1, 1, "fmul"),
+            ev(1, 0, 1, "sub"),
+            ev(1, 2, 0, "ld"),
+            ev(2, 1, 0, "fadd"),
+        ];
+        assert_eq!(
+            render_interleaving(&mc, &events, 0..u64::MAX),
+            render_interleaving(&mc, &events, 0..3)
+        );
+        assert_eq!(
+            render_interleaving(&mc, &[], 0..u64::MAX).lines().count(),
+            2
+        );
+        assert_eq!(
+            render_unit_mapping(&mc, &events, u64::MAX)
+                .matches('-')
+                .count(),
+            4
+        );
     }
 
     #[test]

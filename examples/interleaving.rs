@@ -13,7 +13,9 @@
 
 use pc_compiler::{compile, ScheduleMode};
 use pc_isa::MachineConfig;
-use pc_sim::{trace, Machine};
+use pc_sim::{trace, Machine, RingSink};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const SRC: &str = r#"
 (global xs (array float 32))
@@ -47,23 +49,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     m.write_global("xs", &xs)?;
     m.set_global_empty("done")?;
-    m.enable_trace();
+    // The issue trace is the ring sink's issue events (unbounded ring).
+    let ring = Rc::new(RefCell::new(RingSink::new(usize::MAX)));
+    m.attach_probe(Box::new(Rc::clone(&ring)));
     let stats = m.run(10_000)?;
+    let events = ring.borrow().issue_events();
 
     println!("Figure 1 — runtime interleaving of the threads' schedules:\n");
-    let last = m.trace().iter().map(|e| e.cycle).max().unwrap_or(0);
+    let last = events.iter().map(|e| e.cycle).max().unwrap_or(0);
     println!(
         "{}",
-        trace::render_interleaving(&config, m.trace(), 0..last + 1)
+        trace::render_interleaving(&config, &events, 0..last + 1)
     );
 
     println!("Figure 2 — mapping of function units to threads, first cycles:\n");
     for c in 0..6.min(last + 1) {
-        println!("  {}", trace::render_unit_mapping(&config, m.trace(), c));
+        println!("  {}", trace::render_unit_mapping(&config, &events, c));
     }
 
     println!("\nsharing summary (unit class, thread, ops issued):");
-    for (class, thread, n) in trace::sharing_summary(&config, m.trace()) {
+    for (class, thread, n) in trace::sharing_summary(&config, &events) {
         println!("  {:>3}  t{thread}  {n}", class.label());
     }
     println!(

@@ -9,8 +9,10 @@
 
 use pc_compiler::{compile, ScheduleMode};
 use pc_isa::{ArbitrationPolicy, IntOp, InterconnectScheme, MachineConfig, MemoryModel, Value};
-use pc_sim::{DecodedProgram, EngineKind, Machine, RunStats};
+use pc_sim::{DecodedProgram, EngineKind, Machine, RunStats, StallProfiler};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A random integer expression over the input array `ivs`.
@@ -96,18 +98,21 @@ fn config_strategy() -> BoxedStrategy<MachineConfig> {
         .boxed()
 }
 
-/// Runs one decoded image on one engine and returns the stats plus the
+/// Runs one decoded image on one engine with a [`StallProfiler`]
+/// attached and returns the stats (its table as `stalls`) plus the
 /// output array.
 fn run_on(code: &Arc<DecodedProgram>, engine: EngineKind, ivs: &[i64]) -> (RunStats, Vec<Value>) {
     let mut m = Machine::from_decoded(Arc::clone(code)).unwrap();
     m.set_engine(engine);
-    m.enable_profiling();
+    let profiler = Rc::new(RefCell::new(StallProfiler::new(m.program())));
+    m.attach_probe(Box::new(Rc::clone(&profiler)));
     m.write_global(
         "ivs",
         &ivs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
     )
     .unwrap();
-    let stats = m.run(1_000_000).expect("runs");
+    let mut stats = m.run(1_000_000).expect("runs");
+    stats.stalls = profiler.borrow().table();
     (stats, m.read_global("out").unwrap())
 }
 

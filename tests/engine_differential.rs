@@ -12,12 +12,15 @@
 
 use coupling::{benchmarks, MachineMode};
 use pc_isa::MachineConfig;
-use pc_sim::{DecodedProgram, EngineKind, Machine, RunStats};
+use pc_sim::{DecodedProgram, EngineKind, Machine, RunStats, StallProfiler};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Runs one benchmark variant on the chosen issue engine, from a
 /// shared decoded image (decode happens once per benchmark × mode, as
-/// it would at `Machine` load time).
+/// it would at `Machine` load time). Profiled runs attach a
+/// [`StallProfiler`] and return its table as `stalls`.
 fn run_engine(
     bench: &coupling::Benchmark,
     mode: MachineMode,
@@ -27,13 +30,18 @@ fn run_engine(
 ) -> RunStats {
     let mut machine = Machine::from_decoded(Arc::clone(code)).unwrap();
     machine.set_engine(engine);
+    let profiler = Rc::new(RefCell::new(StallProfiler::new(machine.program())));
     if profiled {
-        machine.enable_profiling();
+        machine.attach_probe(Box::new(Rc::clone(&profiler)));
     }
     (bench.setup)(&mut machine).unwrap();
-    machine
+    let mut stats = machine
         .run(20_000_000)
-        .unwrap_or_else(|e| panic!("{} {} {}: {e}", bench.name, mode.label(), engine.name()))
+        .unwrap_or_else(|e| panic!("{} {} {}: {e}", bench.name, mode.label(), engine.name()));
+    if profiled {
+        stats.stalls = profiler.borrow().table();
+    }
+    stats
 }
 
 /// Asserts bit-identical stats across both engines, plain and

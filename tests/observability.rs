@@ -5,7 +5,7 @@
 //! cycle, and the file sinks have to round-trip the event stream.
 
 use coupling::{benchmarks, run_benchmark, run_benchmark_observed, MachineMode, Observe};
-use pc_isa::MachineConfig;
+use pc_isa::{MachineConfig, MemoryModel};
 use pc_sim::StallCause;
 use std::path::PathBuf;
 
@@ -338,6 +338,55 @@ fn full_observability_stack_is_transparent() {
     std::fs::remove_file(&chrome).ok();
     assert!(jsonl_len > 0 && chrome_len > 0);
     assert!(out.stats.stalls.consistent());
+    out.stats.stalls = Default::default();
+    assert_eq!(plain.stats, out.stats);
+}
+
+/// Sinks see bulk-skipped idle spans instead of disabling the skip: a
+/// decoded run with idle spans (Matrix under `mem2`), profiled and
+/// streamed to JSONL with host telemetry on, still skips, every thread's
+/// JSONL stall `cycles` sum equals its profiled stalled total, and the
+/// stats equal the plain run's.
+#[test]
+fn sinks_see_skipped_idle_spans() {
+    let bench = benchmarks::matrix();
+    let config = MachineConfig::baseline().with_memory(MemoryModel::mem2());
+    let path = scratch("spans.jsonl");
+    let observe = Observe {
+        profile: true,
+        jsonl: Some(path.clone()),
+        host_telemetry: true,
+        ..Observe::default()
+    };
+    let plain = run_benchmark(&bench, MachineMode::Coupled, config.clone()).unwrap();
+    let mut out = run_benchmark_observed(&bench, MachineMode::Coupled, config, &observe).unwrap();
+    let host = out.host_profile.as_ref().expect("telemetry requested");
+    assert!(
+        host.idle_spans_skipped > 0,
+        "no span skipped with a sink attached"
+    );
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let field = |line: &str, key: &str| -> u64 {
+        let tag = format!("\"{key}\":");
+        let rest = &line[line.find(&tag).unwrap() + tag.len()..];
+        let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+        rest[..end].parse().unwrap()
+    };
+    let stalls = &out.stats.stalls;
+    let mut per_thread = vec![0u64; stalls.threads.len()];
+    let mut spans = 0;
+    for line in text.lines().filter(|l| l.contains("\"kind\":\"stall\"")) {
+        let cycles = field(line, "cycles");
+        spans += u64::from(cycles > 1);
+        per_thread[field(line, "thread") as usize] += cycles;
+    }
+    assert!(spans > 0, "no multi-cycle stall event in the stream");
+    for (t, th) in stalls.threads.iter().enumerate() {
+        assert_eq!(per_thread[t], th.stalled(), "thread {t}");
+    }
+    assert!(stalls.consistent());
     out.stats.stalls = Default::default();
     assert_eq!(plain.stats, out.stats);
 }

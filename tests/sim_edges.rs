@@ -5,7 +5,9 @@
 use coupling::{benchmarks, run_benchmark, MachineMode};
 use pc_compiler::{compile, ScheduleMode};
 use pc_isa::{MachineConfig, UnitClass, Value};
-use pc_sim::{Machine, SimError};
+use pc_sim::{Machine, RingSink, SimError};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn build(src: &str, config: &MachineConfig) -> Machine {
     let out = compile(src, config, ScheduleMode::Unrestricted).expect("compiles");
@@ -112,17 +114,19 @@ fn trace_reconstructs_issue_counts() {
     "#;
     let config = MachineConfig::baseline();
     let mut m = build(src, &config);
-    m.enable_trace();
+    let ring = Rc::new(RefCell::new(RingSink::new(usize::MAX)));
+    m.attach_probe(Box::new(Rc::clone(&ring)));
     let stats = m.run(100_000).unwrap();
-    assert_eq!(m.trace().len() as u64, stats.ops_issued);
+    let trace = ring.borrow().issue_events();
+    assert_eq!(trace.len() as u64, stats.ops_issued);
     // Per-thread counts in the trace match the stats.
     for (t, &count) in stats.ops_by_thread.iter().enumerate() {
-        let in_trace = m.trace().iter().filter(|e| e.thread == t as u32).count() as u64;
+        let in_trace = trace.iter().filter(|e| e.thread == t as u32).count() as u64;
         assert_eq!(in_trace, count, "thread {t}");
     }
     // Never two events on one unit in one cycle.
     let mut seen = std::collections::HashSet::new();
-    for e in m.trace() {
+    for e in &trace {
         assert!(
             seen.insert((e.cycle, e.fu)),
             "double issue on {:?}",
