@@ -9,21 +9,24 @@
 //! ([`pc_isa::InterconnectScheme`]) plus the area model behind the paper's
 //! "Tri-Port is 28% of full connection" claim.
 //!
-//! The simulator collects all register writes that want to retire in a
-//! cycle and calls [`Interconnect::arbitrate`]; denied writes retry on a
-//! later cycle (stalling their function unit's writeback slot).
+//! The simulator asks [`Interconnect::request`] for a port for each
+//! register write, oldest first, as results complete and as denied writes
+//! retry; a denied write waits for a later cycle (holding a slot in its
+//! function unit's writeback buffer). Budgets reset when the cycle
+//! changes.
 //!
 //! ```
 //! use pc_isa::{ClusterId, InterconnectScheme};
-//! use pc_xconn::{Interconnect, WriteReq};
+//! use pc_xconn::{Interconnect, PortDecision, WriteReq};
 //!
 //! let mut net = Interconnect::new(InterconnectScheme::SinglePort, 4);
-//! let reqs = vec![
-//!     WriteReq { src_cluster: ClusterId(0), dst_cluster: ClusterId(1) },
-//!     WriteReq { src_cluster: ClusterId(2), dst_cluster: ClusterId(1) },
-//! ];
-//! let grants = net.arbitrate(&reqs);
-//! assert_eq!(grants, vec![true, false]); // one write port on cluster 1
+//! let a = WriteReq { src_cluster: ClusterId(0), dst_cluster: ClusterId(1) };
+//! let b = WriteReq { src_cluster: ClusterId(2), dst_cluster: ClusterId(1) };
+//! // One write port on cluster 1: the first request wins it.
+//! assert_eq!(net.request(0, &a), PortDecision::Granted);
+//! assert_eq!(net.request(0, &b), PortDecision::DeniedPortFull);
+//! // The next cycle brings a fresh budget.
+//! assert_eq!(net.request(1, &b), PortDecision::Granted);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,13 +52,8 @@ impl WriteReq {
     }
 }
 
-/// Why one write request was granted or denied this cycle.
-///
-/// Produced by [`Interconnect::arbitrate_explained_into`]; the plain
-/// [`Interconnect::arbitrate_into`] collapses it to a grant flag. Both
-/// entry points share one decision function, so an explained arbitration
-/// is bit-identical to a plain one — the observability layer can never
-/// perturb simulation results.
+/// Why one write request was granted or denied, as returned by
+/// [`Interconnect::request`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortDecision {
     /// The write retires this cycle.
@@ -122,9 +120,11 @@ pub struct Interconnect {
     scheme: InterconnectScheme,
     n_clusters: usize,
     stats: XconnStats,
-    // Scratch budgets, reset each arbitrate() call (one call per cycle).
+    /// The cycle the budgets below were spent in.
+    cycle: u64,
     total_used: Vec<u32>,
     bused_used: Vec<u32>,
+    shared_bus_used: bool,
 }
 
 impl Interconnect {
@@ -134,39 +134,16 @@ impl Interconnect {
             scheme,
             n_clusters,
             stats: XconnStats::default(),
+            cycle: 0,
             total_used: vec![0; n_clusters],
             bused_used: vec![0; n_clusters],
+            shared_bus_used: false,
         }
     }
 
     /// The scheme in force.
     pub fn scheme(&self) -> InterconnectScheme {
         self.scheme
-    }
-
-    /// True when this scheme can never deny a request (Full
-    /// connectivity): arbitration degenerates to counting grants, which
-    /// callers may exploit via
-    /// [`Interconnect::record_uncontended_grants`].
-    pub fn contention_free(&self) -> bool {
-        self.scheme == InterconnectScheme::Full
-    }
-
-    /// Records `n` granted writes (`remote` of them cross-cluster)
-    /// without per-request arbitration. Only meaningful when
-    /// [`Interconnect::contention_free`]: the accounting then matches
-    /// what per-request arbitration of the same batch would accumulate.
-    ///
-    /// # Panics
-    /// Debug-panics when the scheme is not contention-free (granting
-    /// without arbitration would misreport denials).
-    pub fn record_uncontended_grants(&mut self, n: u64, remote: u64) {
-        debug_assert!(
-            self.contention_free(),
-            "bulk grants are only valid for contention-free schemes"
-        );
-        self.stats.grants += n;
-        self.stats.remote_grants += remote;
     }
 
     /// `(total ports, bused ports)` per register file, or `None` for
@@ -181,64 +158,27 @@ impl Interconnect {
         }
     }
 
-    /// Arbitrates one cycle's write requests, in the order given (the
-    /// simulator passes oldest-first, making starvation impossible).
-    /// Returns one grant flag per request.
+    /// Decides one write request against what is left of `cycle`'s port
+    /// and bus budgets, spending from them on a grant, and updates the
+    /// statistics. Requests are decided in the order made (the simulator
+    /// makes them oldest first, so no write starves); the first request
+    /// of a new cycle starts from fresh budgets.
     ///
     /// # Panics
-    /// Panics if a request names a cluster outside `0..n_clusters`.
-    pub fn arbitrate(&mut self, reqs: &[WriteReq]) -> Vec<bool> {
-        let mut grants = Vec::with_capacity(reqs.len());
-        self.arbitrate_into(reqs, &mut grants);
-        grants
-    }
-
-    /// [`Interconnect::arbitrate`] writing into a caller-provided buffer,
-    /// so a per-cycle caller can reuse one allocation. `grants` is cleared
-    /// first and ends up holding one flag per request.
-    ///
-    /// # Panics
-    /// Panics if a request names a cluster outside `0..n_clusters`.
-    pub fn arbitrate_into(&mut self, reqs: &[WriteReq], grants: &mut Vec<bool>) {
-        grants.clear();
-        self.reset_budgets();
-        let mut shared_bus_used = false;
-        for r in reqs {
-            grants.push(self.decide(r, &mut shared_bus_used).granted());
-        }
-    }
-
-    /// [`Interconnect::arbitrate_into`] with per-request
-    /// [`PortDecision`]s instead of bare grant flags, so an observer can
-    /// attribute each denial to port or bus contention. Shares the
-    /// decision function with the plain path: grants (and accumulated
-    /// statistics) are identical.
-    ///
-    /// # Panics
-    /// Panics if a request names a cluster outside `0..n_clusters`.
-    pub fn arbitrate_explained_into(&mut self, reqs: &[WriteReq], out: &mut Vec<PortDecision>) {
-        out.clear();
-        self.reset_budgets();
-        let mut shared_bus_used = false;
-        for r in reqs {
-            out.push(self.decide(r, &mut shared_bus_used));
-        }
-    }
-
-    fn reset_budgets(&mut self) {
-        self.total_used.iter_mut().for_each(|u| *u = 0);
-        self.bused_used.iter_mut().for_each(|u| *u = 0);
-    }
-
-    /// Decides one request against the remaining per-cycle budgets and
-    /// updates statistics — the single source of truth for both
-    /// arbitration entry points.
-    fn decide(&mut self, r: &WriteReq, shared_bus_used: &mut bool) -> PortDecision {
+    /// Panics if the request names a cluster outside `0..n_clusters`.
+    #[inline]
+    pub fn request(&mut self, cycle: u64, r: &WriteReq) -> PortDecision {
         let d = r.dst_cluster.0 as usize;
         assert!(d < self.n_clusters, "cluster {d} out of range");
         let decision = match self.budget() {
             None => PortDecision::Granted,
             Some((total, bused)) => {
+                if cycle != self.cycle {
+                    self.cycle = cycle;
+                    self.total_used.fill(0);
+                    self.bused_used.fill(0);
+                    self.shared_bus_used = false;
+                }
                 if self.total_used[d] >= total {
                     PortDecision::DeniedPortFull
                 } else if r.is_local() {
@@ -249,12 +189,12 @@ impl Interconnect {
                         self.total_used[d] += 1;
                         PortDecision::Granted
                     } else if self.bused_used[d] < bused
-                        && (self.scheme != InterconnectScheme::SharedBus || !*shared_bus_used)
+                        && (self.scheme != InterconnectScheme::SharedBus || !self.shared_bus_used)
                     {
                         // Borrow a bused port (over the shared bus if
                         // that's the scheme's transport).
                         if self.scheme == InterconnectScheme::SharedBus {
-                            *shared_bus_used = true;
+                            self.shared_bus_used = true;
                         }
                         self.bused_used[d] += 1;
                         self.total_used[d] += 1;
@@ -268,10 +208,10 @@ impl Interconnect {
                     // Remote writers need a bused port (and the shared
                     // bus, when that is the transport).
                     if self.bused_used[d] < bused
-                        && (self.scheme != InterconnectScheme::SharedBus || !*shared_bus_used)
+                        && (self.scheme != InterconnectScheme::SharedBus || !self.shared_bus_used)
                     {
                         if self.scheme == InterconnectScheme::SharedBus {
-                            *shared_bus_used = true;
+                            self.shared_bus_used = true;
                         }
                         self.bused_used[d] += 1;
                         self.total_used[d] += 1;
@@ -318,25 +258,27 @@ mod tests {
         }
     }
 
+    /// Requests `reqs` in order on `cycle`, returning each decision.
+    fn decide(net: &mut Interconnect, cycle: u64, reqs: &[WriteReq]) -> Vec<PortDecision> {
+        reqs.iter().map(|r| net.request(cycle, r)).collect()
+    }
+
+    /// [`decide`] collapsed to grant flags.
+    fn grants(net: &mut Interconnect, cycle: u64, reqs: &[WriteReq]) -> Vec<bool> {
+        decide(net, cycle, reqs)
+            .iter()
+            .map(|d| d.granted())
+            .collect()
+    }
+
     #[test]
     fn full_grants_everything() {
         let mut net = Interconnect::new(InterconnectScheme::Full, 4);
         let reqs: Vec<_> = (0..16).map(|i| req(i % 4, (i + 1) % 4)).collect();
-        assert!(net.arbitrate(&reqs).into_iter().all(|g| g));
+        assert!(grants(&mut net, 0, &reqs).into_iter().all(|g| g));
         assert_eq!(net.stats().denials, 0);
         assert_eq!(net.stats().grants, 16);
-    }
-
-    #[test]
-    fn uncontended_bulk_grants_match_arbitration() {
-        let mut arbitrated = Interconnect::new(InterconnectScheme::Full, 4);
-        let mut bulk = Interconnect::new(InterconnectScheme::Full, 4);
-        let reqs = vec![req(0, 0), req(0, 2), req(3, 1)];
-        assert!(arbitrated.arbitrate(&reqs).into_iter().all(|g| g));
-        bulk.record_uncontended_grants(3, 2);
-        assert_eq!(arbitrated.stats(), bulk.stats());
-        assert!(bulk.contention_free());
-        assert!(!Interconnect::new(InterconnectScheme::SinglePort, 4).contention_free());
+        assert_eq!(net.stats().remote_grants, 16);
     }
 
     #[test]
@@ -349,28 +291,31 @@ mod tests {
             req(2, 1), // no ports left: denied
             req(3, 1), // denied
         ];
-        assert_eq!(net.arbitrate(&reqs), vec![true, true, true, false, false]);
+        assert_eq!(
+            grants(&mut net, 0, &reqs),
+            vec![true, true, true, false, false]
+        );
         // Remotes can never exceed the bused budget even when the file's
         // total budget is free.
         let reqs = vec![req(0, 1), req(2, 1), req(3, 1)];
-        assert_eq!(net.arbitrate(&reqs), vec![true, true, false]);
+        assert_eq!(grants(&mut net, 1, &reqs), vec![true, true, false]);
     }
 
     #[test]
     fn dualport_allows_one_local_one_remote() {
         let mut net = Interconnect::new(InterconnectScheme::DualPort, 4);
         let reqs = vec![req(1, 1), req(0, 1), req(2, 1)];
-        assert_eq!(net.arbitrate(&reqs), vec![true, true, false]);
+        assert_eq!(grants(&mut net, 0, &reqs), vec![true, true, false]);
     }
 
     #[test]
     fn singleport_contends_local_and_remote() {
         let mut net = Interconnect::new(InterconnectScheme::SinglePort, 4);
         let reqs = vec![req(1, 1), req(0, 1)];
-        assert_eq!(net.arbitrate(&reqs), vec![true, false]);
+        assert_eq!(grants(&mut net, 0, &reqs), vec![true, false]);
         // Different register files don't interfere.
         let reqs = vec![req(0, 1), req(0, 2), req(0, 3)];
-        assert_eq!(net.arbitrate(&reqs), vec![true, true, true]);
+        assert_eq!(grants(&mut net, 1, &reqs), vec![true, true, true]);
     }
 
     #[test]
@@ -378,33 +323,32 @@ mod tests {
         let mut net = Interconnect::new(InterconnectScheme::SharedBus, 4);
         // Two remote writes to *different* clusters still conflict: one bus.
         let reqs = vec![req(0, 1), req(2, 3)];
-        assert_eq!(net.arbitrate(&reqs), vec![true, false]);
+        assert_eq!(grants(&mut net, 0, &reqs), vec![true, false]);
         // Locals are unaffected by the bus.
         let reqs = vec![req(0, 0), req(1, 1), req(2, 3)];
-        assert_eq!(net.arbitrate(&reqs), vec![true, true, true]);
-    }
-
-    #[test]
-    fn arbitrate_into_reuses_and_clears_buffer() {
-        let mut net = Interconnect::new(InterconnectScheme::SinglePort, 2);
-        let mut grants = vec![true; 8]; // stale contents must be cleared
-        net.arbitrate_into(&[req(0, 1), req(1, 1)], &mut grants);
-        assert_eq!(grants, vec![true, false]);
-        net.arbitrate_into(&[req(0, 0)], &mut grants);
-        assert_eq!(grants, vec![true]);
+        assert_eq!(grants(&mut net, 1, &reqs), vec![true, true, true]);
     }
 
     #[test]
     fn budgets_reset_each_cycle() {
         let mut net = Interconnect::new(InterconnectScheme::SinglePort, 2);
-        assert_eq!(net.arbitrate(&[req(0, 0)]), vec![true]);
-        assert_eq!(net.arbitrate(&[req(0, 0)]), vec![true]);
+        // Within a cycle the budget accumulates across requests…
+        assert_eq!(net.request(0, &req(0, 0)), PortDecision::Granted);
+        assert_eq!(net.request(0, &req(0, 0)), PortDecision::DeniedPortFull);
+        // …and a new cycle resets it, the shared bus included.
+        assert_eq!(net.request(1, &req(0, 0)), PortDecision::Granted);
+        let mut bus = Interconnect::new(InterconnectScheme::SharedBus, 4);
+        assert_eq!(
+            grants(&mut bus, 5, &[req(0, 1), req(2, 3)]),
+            vec![true, false]
+        );
+        assert_eq!(bus.request(6, &req(2, 3)), PortDecision::Granted);
     }
 
     #[test]
     fn stats_track_denials_and_remotes() {
         let mut net = Interconnect::new(InterconnectScheme::DualPort, 4);
-        net.arbitrate(&[req(0, 1), req(2, 1), req(3, 1)]);
+        decide(&mut net, 0, &[req(0, 1), req(2, 1), req(3, 1)]);
         let s = net.stats();
         assert_eq!(s.grants, 1);
         assert_eq!(s.denials, 2);
@@ -413,32 +357,24 @@ mod tests {
     }
 
     #[test]
-    fn explained_arbitration_matches_plain_and_classifies_denials() {
+    fn denials_are_classified_by_port_or_bus() {
         let reqs = vec![
             req(1, 1), // local: non-bused port
             req(0, 1), // remote: the bused port
-            req(2, 1), // remote: no bus capacity left
+            req(2, 1), // remote: no ports left
             req(3, 1), // remote: likewise
         ];
-        let mut plain = Interconnect::new(InterconnectScheme::DualPort, 4);
-        let mut explained = Interconnect::new(InterconnectScheme::DualPort, 4);
-        let grants = plain.arbitrate(&reqs);
-        let mut decisions = Vec::new();
-        explained.arbitrate_explained_into(&reqs, &mut decisions);
-        let as_grants: Vec<bool> = decisions.iter().map(|d| d.granted()).collect();
-        assert_eq!(grants, as_grants);
-        assert_eq!(plain.stats(), explained.stats());
+        let mut net = Interconnect::new(InterconnectScheme::DualPort, 4);
+        let decisions = decide(&mut net, 0, &reqs);
         // All ports taken: denial blames the port budget.
         assert_eq!(decisions[2], PortDecision::DeniedPortFull);
         // Ports free but bused capacity exhausted: denial blames the bus.
         let mut net = Interconnect::new(InterconnectScheme::TriPort, 4);
-        let mut d = Vec::new();
-        net.arbitrate_explained_into(&[req(0, 1), req(2, 1), req(3, 1)], &mut d);
+        let d = decide(&mut net, 0, &[req(0, 1), req(2, 1), req(3, 1)]);
         assert_eq!(d[2], PortDecision::DeniedBusBusy);
         // A third local writer on a saturated file is port contention.
         let mut net = Interconnect::new(InterconnectScheme::DualPort, 4);
-        let mut d = Vec::new();
-        net.arbitrate_explained_into(&[req(1, 1), req(1, 1), req(1, 1)], &mut d);
+        let d = decide(&mut net, 0, &[req(1, 1), req(1, 1), req(1, 1)]);
         assert_eq!(d[2], PortDecision::DeniedPortFull);
         assert_eq!(net.stats().denied_port_full, 1);
     }
@@ -446,8 +382,7 @@ mod tests {
     #[test]
     fn shared_bus_denials_blame_the_bus() {
         let mut net = Interconnect::new(InterconnectScheme::SharedBus, 4);
-        let mut d = Vec::new();
-        net.arbitrate_explained_into(&[req(0, 1), req(2, 3)], &mut d);
+        let d = decide(&mut net, 0, &[req(0, 1), req(2, 3)]);
         assert_eq!(d, vec![PortDecision::Granted, PortDecision::DeniedBusBusy]);
         assert_eq!(net.stats().denied_bus_busy, 1);
         assert_eq!(net.stats().denied_port_full, 0);
@@ -462,6 +397,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_unknown_cluster() {
         let mut net = Interconnect::new(InterconnectScheme::Full, 2);
-        net.arbitrate(&[req(0, 5)]);
+        net.request(0, &req(0, 5));
     }
 }

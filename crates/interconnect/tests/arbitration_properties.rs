@@ -6,6 +6,13 @@ use pc_isa::{ClusterId, InterconnectScheme};
 use pc_xconn::{Interconnect, WriteReq};
 use proptest::prelude::*;
 
+/// Requests `reqs` in order on `cycle`, returning one grant flag each.
+fn arbitrate(net: &mut Interconnect, cycle: u64, reqs: &[WriteReq]) -> Vec<bool> {
+    reqs.iter()
+        .map(|r| net.request(cycle, r).granted())
+        .collect()
+}
+
 fn schemes() -> Vec<InterconnectScheme> {
     InterconnectScheme::all().to_vec()
 }
@@ -37,7 +44,7 @@ proptest! {
                 dst_cluster: ClusterId(d),
             })
             .collect();
-        let grants = net.arbitrate(&reqs);
+        let grants = arbitrate(&mut net, 0, &reqs);
         prop_assert_eq!(grants.len(), reqs.len());
         if let Some((total, bused)) = budget(scheme) {
             for dst in 0..4u16 {
@@ -80,11 +87,13 @@ proptest! {
                 dst_cluster: ClusterId(d),
             })
             .collect();
-        let grants = net.arbitrate(&reqs);
-        for (r, g) in reqs.iter().zip(grants) {
+        let grants = arbitrate(&mut net, 0, &reqs);
+        for (cycle, (r, g)) in (1..).zip(reqs.iter().zip(grants)) {
             if !g {
-                let solo = net.arbitrate(std::slice::from_ref(r));
-                prop_assert!(solo[0], "{scheme}: denied request failed alone");
+                prop_assert!(
+                    net.request(cycle, r).granted(),
+                    "{scheme}: denied request failed alone"
+                );
             }
         }
     }
@@ -104,7 +113,7 @@ proptest! {
             .collect();
         let count = |scheme| {
             let mut net = Interconnect::new(scheme, 4);
-            net.arbitrate(&reqs).into_iter().filter(|&g| g).count()
+            arbitrate(&mut net, 0, &reqs).into_iter().filter(|&g| g).count()
         };
         let full = count(InterconnectScheme::Full);
         let tri = count(InterconnectScheme::TriPort);
@@ -127,8 +136,8 @@ proptest! {
         let scheme = schemes()[scheme_idx];
         let mut net = Interconnect::new(scheme, 4);
         let mut total = 0u64;
-        for cycle in cycles {
-            let reqs: Vec<WriteReq> = cycle
+        for (cycle, batch) in (0..).zip(cycles) {
+            let reqs: Vec<WriteReq> = batch
                 .into_iter()
                 .map(|(s, d)| WriteReq {
                     src_cluster: ClusterId(s),
@@ -136,7 +145,7 @@ proptest! {
                 })
                 .collect();
             total += reqs.len() as u64;
-            net.arbitrate(&reqs);
+            arbitrate(&mut net, cycle, &reqs);
         }
         let s = net.stats();
         prop_assert_eq!(s.grants + s.denials, total);

@@ -158,11 +158,6 @@ pub(crate) struct DecodedOp {
     /// The same destinations as flat register-file indices (scoreboard
     /// claims at issue).
     pub dsts_flat: FlatList,
-    /// How many destinations live in a cluster other than the unit's own
-    /// — the interconnect's remote-write count for this result,
-    /// precomputed so uncontended retirement never consults the
-    /// configuration.
-    pub wb_remote: u8,
 }
 
 /// One instruction row: a window into [`DecodedProgram::ops`].
@@ -349,11 +344,6 @@ impl DecodedProgram {
                         srcs,
                         dsts: RegList::from_slice(&op.dsts),
                         dsts_flat: op.dsts.iter().map(|d| flat(*d)).collect(),
-                        wb_remote: op
-                            .dsts
-                            .iter()
-                            .filter(|d| d.cluster != config.fu(*fu).cluster)
-                            .count() as u8,
                     });
                 }
                 // Second pass over the row: which sibling units each

@@ -137,6 +137,11 @@ pub enum ProbeEvent {
         at: Option<(u32, u32, u16)>,
     },
     /// One register write retired through the interconnect.
+    ///
+    /// Within a cycle, `Writeback` and [`ProbeEvent::WbDenied`] events
+    /// arrive in arbitration order — writes queued on earlier cycles
+    /// first, oldest first, then the cycle's new results in completion
+    /// order — and before the cycle's [`ProbeEvent::SyncRetry`] events.
     Writeback {
         /// Cycle of retirement.
         cycle: u64,
@@ -154,7 +159,9 @@ pub enum ProbeEvent {
         /// The contested unit.
         fu: FuId,
     },
-    /// A queued writeback was denied a write port or bus this cycle.
+    /// A register write was denied a write port or bus this cycle; it
+    /// waits in the writeback queue and retries next cycle. Ordered as
+    /// [`ProbeEvent::Writeback`].
     WbDenied {
         /// Cycle of the denial.
         cycle: u64,

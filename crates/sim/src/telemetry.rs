@@ -23,7 +23,8 @@ use pc_metrics::{Sample, SampleValue, SampledTimers};
 pub(crate) const PH_PIPE: usize = 0;
 /// Phase index: memory-system completions (step phase A2).
 pub(crate) const PH_MEM: usize = 1;
-/// Phase index: writeback port/bus arbitration (step phase A3).
+/// Phase index: retrying writebacks denied a port (step phase A0).
+/// First attempts run inside the completion phases that produce them.
 pub(crate) const PH_WRITEBACK: usize = 2;
 /// Phase index: operation issue (step phase B).
 pub(crate) const PH_ISSUE: usize = 3;
@@ -50,7 +51,7 @@ const PHASE_NAMES: [&str; N_PHASES] = [
 const PHASE_HELP: [&str; N_PHASES] = [
     "Host time draining due function-unit pipeline entries (phase A1).",
     "Host time draining due memory-system completions (phase A2).",
-    "Host time arbitrating and retiring writebacks (phase A3).",
+    "Host time retrying writebacks denied a port or bus (phase A0).",
     "Host time in the issue engine (phase B).",
     "Host time advancing rows and applying control transfers (phase C).",
     "Host time in full readiness-bitmask rebuilds (inclusive, nested).",
