@@ -10,6 +10,8 @@
 //! cargo bench -p pc-bench --bench simcore
 //! ```
 
+use coupling::sweep::codec::{parse_json, Json};
+
 /// Criterion sample count used by all benches (whole-program simulations
 /// are long; statistical precision beyond ~10 samples buys nothing).
 pub const SAMPLES: usize = 10;
@@ -40,182 +42,52 @@ pub struct BaselineCase {
     pub sim_cycles_per_sec: f64,
 }
 
-/// Scans the given field out of one JSON object body. The baseline files
-/// are written by `benches/simcore.rs` in a fixed shape, so a string scan
-/// (no serde in the offline build) is sufficient and is unit-tested
-/// against the writer's format.
-fn scan_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &obj[obj.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn scan_string<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let raw = scan_field(obj, key)?;
-    raw.strip_prefix('"')?.strip_suffix('"')
-}
-
 /// Parses the `cases` array of a `BENCH_simcore.json` document.
 ///
 /// # Errors
 /// Returns a description of the first malformed case, or of a missing
 /// `cases` array.
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselineCase>, String> {
-    let start = json
-        .find("\"cases\":")
-        .ok_or_else(|| "no \"cases\" array".to_string())?;
-    let body = &json[start..];
-    let open = body.find('[').ok_or("cases is not an array")?;
-    let close = body.find(']').ok_or("unterminated cases array")?;
-    let mut cases = Vec::new();
-    let mut rest = &body[open + 1..close];
-    while let Some(obj_start) = rest.find('{') {
-        let obj_end = rest[obj_start..]
-            .find('}')
-            .ok_or("unterminated case object")?;
-        let obj = &rest[obj_start..obj_start + obj_end + 1];
-        let id = scan_string(obj, "id")
-            .ok_or_else(|| format!("case without id: {obj}"))?
-            .to_string();
-        let num = |key: &str| -> Result<f64, String> {
-            scan_field(obj, key)
-                .ok_or_else(|| format!("{id}: missing {key}"))?
-                .parse::<f64>()
-                .map_err(|e| format!("{id}: bad {key}: {e}"))
-        };
-        cases.push(BaselineCase {
-            sim_cycles_per_sec: num("sim_cycles_per_sec")?,
-            mean_ns: num("mean_ns")? as u64,
-            cycles_per_run: num("cycles_per_run")? as u64,
-            engine: scan_string(obj, "engine").unwrap_or("decoded").to_string(),
-            id,
-        });
-        rest = &rest[obj_start + obj_end + 1..];
-    }
+    let doc = parse_json(json)?;
+    let cases = doc
+        .get("cases")
+        .ok_or("no \"cases\" array")?
+        .as_arr()
+        .ok_or("cases is not an array")?;
     if cases.is_empty() {
         return Err("cases array is empty".to_string());
     }
-    Ok(cases)
-}
-
-/// One shard's record inside the `table2_sweep` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepShardStat {
-    /// Shard selector, `"k/n"`.
-    pub shard: String,
-    /// Wall-clock milliseconds for the shard.
-    pub wall_ms: f64,
-    /// Cells served from the result cache.
-    pub hits: u64,
-    /// Cells computed fresh.
-    pub misses: u64,
-}
-
-/// The `table2_sweep` block of a v3 `BENCH_simcore.json`: what the sweep
-/// engine actually did — jobs used, wall-clock per shard, and cache
-/// hit/miss counts for the cold and warm passes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepStats {
-    /// Worker threads the sweep ran with.
-    pub jobs: u64,
-    /// Cells in the swept grid.
-    pub cells: u64,
-    /// Serial (jobs=1) wall-clock milliseconds, best of N.
-    pub serial_ms: f64,
-    /// Parallel wall-clock milliseconds (absent on single-CPU hosts —
-    /// recording a fictitious "speedup" there would be dishonest).
-    pub parallel_ms: Option<f64>,
-    /// serial_ms / parallel_ms, when both were measured.
-    pub speedup: Option<f64>,
-    /// Per-shard wall-clock and cache traffic for the cold pass.
-    pub shards: Vec<SweepShardStat>,
-    /// (hits, misses) of the cold pass over the whole grid.
-    pub cold: (u64, u64),
-    /// (hits, misses) of the warm rerun — misses must be 0.
-    pub warm: (u64, u64),
-}
-
-/// Extracts the brace- or bracket-delimited value following `"key":`,
-/// balancing nesting. The writer never emits braces inside strings, so
-/// plain depth counting is sufficient (unit-tested against the writer).
-fn extract_delimited<'a>(text: &'a str, key: &str, open: char, close: char) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = text[text.find(&tag)? + tag.len()..].trim_start();
-    if !rest.starts_with(open) {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, ch) in rest.char_indices() {
-        if ch == open {
-            depth += 1;
-        } else if ch == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(&rest[..=i]);
-            }
-        }
-    }
-    None
-}
-
-/// Parses the `table2_sweep` block of a v3 `BENCH_simcore.json`.
-///
-/// # Errors
-/// Returns a description of the first missing or malformed field.
-pub fn parse_sweep_stats(json: &str) -> Result<SweepStats, String> {
-    let obj = extract_delimited(json, "table2_sweep", '{', '}')
-        .ok_or_else(|| "no \"table2_sweep\" object".to_string())?;
-    let num = |key: &str| -> Result<f64, String> {
-        scan_field(obj, key)
-            .ok_or_else(|| format!("table2_sweep: missing {key}"))?
-            .parse::<f64>()
-            .map_err(|e| format!("table2_sweep: bad {key}: {e}"))
-    };
-    let pair = |key: &str| -> Result<(u64, u64), String> {
-        let sub = extract_delimited(obj, key, '{', '}')
-            .ok_or_else(|| format!("table2_sweep: missing {key}"))?;
-        let get = |k: &str| -> Result<u64, String> {
-            scan_field(sub, k)
-                .ok_or_else(|| format!("table2_sweep.{key}: missing {k}"))?
-                .parse::<u64>()
-                .map_err(|e| format!("table2_sweep.{key}: bad {k}: {e}"))
-        };
-        Ok((get("hits")?, get("misses")?))
-    };
-    let mut shards = Vec::new();
-    let mut rest = extract_delimited(obj, "shards", '[', ']')
-        .ok_or_else(|| "table2_sweep: missing shards".to_string())?;
-    while let Some(start) = rest.find('{') {
-        let end = rest[start..].find('}').ok_or("unterminated shard object")?;
-        let sobj = &rest[start..start + end + 1];
-        let get = |k: &str| -> Result<f64, String> {
-            scan_field(sobj, k)
-                .ok_or_else(|| format!("shard: missing {k}"))?
-                .parse::<f64>()
-                .map_err(|e| format!("shard: bad {k}: {e}"))
-        };
-        shards.push(SweepShardStat {
-            shard: scan_string(sobj, "shard")
-                .ok_or_else(|| format!("shard without selector: {sobj}"))?
-                .to_string(),
-            wall_ms: get("wall_ms")?,
-            hits: get("hits")? as u64,
-            misses: get("misses")? as u64,
-        });
-        rest = &rest[start + end + 1..];
-    }
-    Ok(SweepStats {
-        jobs: num("jobs")? as u64,
-        cells: num("cells")? as u64,
-        serial_ms: num("serial_ms")?,
-        parallel_ms: num("parallel_ms").ok(),
-        speedup: num("speedup").ok(),
-        shards,
-        cold: pair("cold")?,
-        warm: pair("warm")?,
-    })
+    cases
+        .iter()
+        .map(|case| {
+            let id = case
+                .get("id")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("case without id: {case:?}"))?
+                .to_string();
+            // Numbers keep their raw token, so fractional fields parse too.
+            let num = |key: &str| -> Result<f64, String> {
+                match case.get(key) {
+                    Some(Json::Num(raw)) => raw
+                        .parse::<f64>()
+                        .map_err(|e| format!("{id}: bad {key}: {e}")),
+                    Some(other) => Err(format!("{id}: bad {key}: {other:?}")),
+                    None => Err(format!("{id}: missing {key}")),
+                }
+            };
+            Ok(BaselineCase {
+                sim_cycles_per_sec: num("sim_cycles_per_sec")?,
+                mean_ns: num("mean_ns")? as u64,
+                cycles_per_run: num("cycles_per_run")? as u64,
+                engine: case
+                    .get("engine")
+                    .and_then(Json::as_str)
+                    .unwrap_or("decoded")
+                    .to_string(),
+                id,
+            })
+        })
+        .collect()
 }
 
 /// Compares `current` against `baseline`: one failure line per case whose
@@ -323,44 +195,6 @@ mod tests {
         assert_eq!(cases[0].engine, "decoded");
         assert_eq!(cases[1].engine, "decoded");
         assert_eq!(cases[2].engine, "scan", "explicit field still wins");
-    }
-
-    #[test]
-    fn parses_the_sweep_block() {
-        let s = parse_sweep_stats(SAMPLE).unwrap();
-        assert_eq!(s.jobs, 4);
-        assert_eq!(s.cells, 18);
-        assert_eq!(s.serial_ms, 470.5);
-        assert_eq!(s.parallel_ms, Some(232.1));
-        assert_eq!(s.speedup, Some(2.03));
-        assert_eq!(s.shards.len(), 2);
-        assert_eq!(s.shards[0].shard, "1/2");
-        assert_eq!(s.shards[0].wall_ms, 120.3);
-        assert_eq!(s.shards[1].misses, 9);
-        assert_eq!(s.cold, (0, 18));
-        assert_eq!(s.warm, (18, 0), "warm pass must record zero misses");
-    }
-
-    #[test]
-    fn sweep_block_tolerates_single_cpu_hosts() {
-        // On a 1-CPU host the writer omits parallel_ms/speedup rather
-        // than record a fictitious comparison.
-        let doc = SAMPLE
-            .replace("    \"parallel_ms\": 232.1,\n", "")
-            .replace("    \"speedup\": 2.03,\n", "");
-        let s = parse_sweep_stats(&doc).unwrap();
-        assert_eq!(s.parallel_ms, None);
-        assert_eq!(s.speedup, None);
-        assert_eq!(s.cold, (0, 18));
-    }
-
-    #[test]
-    fn sweep_block_errors_are_described() {
-        assert!(parse_sweep_stats("{}")
-            .unwrap_err()
-            .contains("table2_sweep"));
-        let doc = SAMPLE.replace("\"cold\"", "\"chilly\"");
-        assert!(parse_sweep_stats(&doc).unwrap_err().contains("cold"));
     }
 
     #[test]

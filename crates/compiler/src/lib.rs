@@ -88,7 +88,7 @@ impl CompileOutput {
 }
 
 /// Knobs for [`compile_with_options`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
     /// Run the optimization passes (constant propagation, CSE, copy
     /// coalescing, DCE). On by default; turning it off reproduces a

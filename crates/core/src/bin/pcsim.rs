@@ -333,35 +333,40 @@ fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         None => coupling::default_jobs(),
     };
     let want = |k: &str| which.is_empty() || which == k;
-    if want("table2") {
-        println!("{}", baseline::run_jobs(jobs)?.table2().render());
-    }
-    if want("fig5") {
-        println!("{}", baseline::run_jobs(jobs)?.fig5().render());
+    let suite = coupling::benchmarks::all();
+    if want("table2") || want("fig5") {
+        // One run of the Table-2 grid feeds both tables.
+        let r = baseline::run(&suite, jobs)?;
+        if want("table2") {
+            println!("{}", r.table2().render());
+        }
+        if want("fig5") {
+            println!("{}", r.fig5().render());
+        }
     }
     if want("table3") {
         // Two heterogeneous runs; not worth fanning out.
         println!("{}", interference::run()?.render());
     }
     if want("fig6") {
-        println!("{}", comm::run_jobs(jobs)?.render());
+        println!("{}", comm::run(&suite, jobs)?.render());
     }
     if want("fig7") {
-        println!("{}", latency::run_jobs(jobs)?.render());
+        println!("{}", latency::run(&suite, jobs)?.render());
     }
     if want("fig8") {
-        println!("{}", mix::run_jobs(jobs)?.render());
+        println!("{}", mix::run(&suite, 4, jobs)?.render());
     }
     if want("ablations") {
-        for study in ablation::run_all_jobs(jobs)? {
+        for study in ablation::run(&ablation::benches(), jobs)? {
             println!("{}", study.render());
         }
     }
     if want("registers") {
-        println!("{}", registers::run_jobs(jobs)?.render());
+        println!("{}", registers::run(&suite, jobs)?.render());
     }
     if want("scaling") {
-        println!("{}", scaling::run_jobs(jobs)?.render());
+        println!("{}", scaling::run(&scaling::SIZES, jobs)?.render());
     }
     Ok(())
 }

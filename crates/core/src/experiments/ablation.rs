@@ -7,13 +7,25 @@
 //! * **dual destinations** — the "two simultaneous register
 //!   destinations" budget vs one and three;
 //! * **writeback buffering** — per-unit result buffering under a
-//!   restricted interconnect.
+//!   restricted interconnect;
+//! * **node shape** — branch-cluster and arithmetic-cluster counts;
+//! * **idealizations** — memory bank conflicts and floating-point
+//!   pipeline depth;
+//! * **compiler** — optimizations on vs off, and loop-invariant code
+//!   motion.
+//!
+//! Each study is data — a mode plus labelled (configuration, compiler
+//! options) variants — and [`run`] runs them all as one grid.
 
+use super::{run_points, Point};
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
-use pc_isa::{ArbitrationPolicy, InterconnectScheme, MachineConfig};
+use crate::runner::RunError;
+use pc_compiler::CompileOptions;
+use pc_isa::{
+    ArbitrationPolicy, ClusterConfig, InterconnectScheme, MachineConfig, MemoryModel, UnitClass,
+};
 
 /// One named configuration point of an ablation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,295 +87,200 @@ impl AblationResults {
     }
 }
 
-fn sweep(
+/// One ablation study as data: the mode it runs in and the variants it
+/// compares, each a labelled machine configuration plus compiler options.
+struct Study {
+    /// Study name (the rendered table's title).
     name: &'static str,
-    benches: &[Benchmark],
+    /// Machine mode every variant runs in.
     mode: MachineMode,
-    variants: &[(&str, MachineConfig)],
-) -> Result<AblationResults, RunError> {
-    let mut rows = Vec::new();
-    for b in benches {
-        for (label, config) in variants {
-            let out = run_benchmark(b, mode, config.clone())?;
-            rows.push(AblationRow {
-                bench: b.name.to_string(),
-                variant: label.to_string(),
-                cycles: out.stats.cycles,
-            });
-        }
+    /// `(label, configuration, compiler options)`, in table order; the
+    /// first is the baseline the others are compared against.
+    variants: Vec<(&'static str, MachineConfig, CompileOptions)>,
+}
+
+/// A Coupled-mode study whose variants differ only in machine
+/// configuration.
+fn configs(name: &'static str, variants: Vec<(&'static str, MachineConfig)>) -> Study {
+    Study {
+        name,
+        mode: MachineMode::Coupled,
+        variants: variants
+            .into_iter()
+            .map(|(label, config)| (label, config, CompileOptions::default()))
+            .collect(),
     }
-    Ok(AblationResults { name, rows })
 }
 
-/// Intra-row slip vs strict lockstep issue, Coupled mode.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn slip(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "intra-row slip vs lockstep issue (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("slip", MachineConfig::baseline()),
-            (
-                "lockstep",
-                MachineConfig::baseline().with_lockstep_issue(true),
-            ),
-        ],
-    )
+/// A node of `n` arithmetic clusters plus one branch cluster.
+fn node(n: usize) -> MachineConfig {
+    let mut clusters = vec![ClusterConfig::arithmetic(); n];
+    clusters.push(ClusterConfig::branch());
+    MachineConfig::new(clusters)
 }
 
-/// Round-robin vs fixed-priority arbitration, Coupled mode.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn arbitration(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "unit arbitration policy (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            (
-                "round-robin",
-                MachineConfig::baseline().with_arbitration(ArbitrationPolicy::RoundRobin),
-            ),
-            (
-                "fixed-priority",
-                MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority),
-            ),
-        ],
-    )
+/// The ten studies, in report order.
+fn studies() -> Vec<Study> {
+    let base = MachineConfig::baseline;
+    let tri = || base().with_interconnect(InterconnectScheme::TriPort);
+    let banked = |n| base().with_memory(MemoryModel::min().with_banks(n));
+    let fpu = |lat| base().with_unit_latency(UnitClass::Float, lat);
+    let opts = |optimize, licm| CompileOptions { optimize, licm };
+    vec![
+        configs(
+            "intra-row slip vs lockstep issue (Coupled)",
+            vec![
+                ("slip", base()),
+                ("lockstep", base().with_lockstep_issue(true)),
+            ],
+        ),
+        configs(
+            "unit arbitration policy (Coupled)",
+            vec![
+                (
+                    "round-robin",
+                    base().with_arbitration(ArbitrationPolicy::RoundRobin),
+                ),
+                (
+                    "fixed-priority",
+                    base().with_arbitration(ArbitrationPolicy::FixedPriority),
+                ),
+            ],
+        ),
+        // With a single destination every cross-cluster value costs an
+        // explicit move.
+        configs(
+            "destination-register budget (Coupled)",
+            vec![
+                ("1 dst", base().with_max_dsts(1)),
+                ("2 dsts", base().with_max_dsts(2)),
+                ("3 dsts", base().with_max_dsts(3)),
+            ],
+        ),
+        configs(
+            "writeback buffer depth under Tri-Port (Coupled)",
+            vec![
+                ("depth 1", tri().with_wb_buffer(1)),
+                ("depth 2", tri().with_wb_buffer(2)),
+                ("depth 4", tri().with_wb_buffer(4)),
+                ("depth 8", tri().with_wb_buffer(8)),
+            ],
+        ),
+        // The paper: "simulation showed that a single branch unit is
+        // sufficient" (§4, Number and Mix).
+        configs(
+            "branch clusters (Coupled)",
+            vec![("2 branch clusters", base()), ("1 branch cluster", node(4))],
+        ),
+        // The paper's intro: coupling is "useful in machines ranging from
+        // workstations based upon a single multi-ALU node to massively
+        // parallel machines"; this sweeps the node's width.
+        configs(
+            "arithmetic cluster count (Coupled)",
+            vec![
+                ("1 cluster (workstation)", node(1)),
+                ("2 clusters", node(2)),
+                ("4 clusters", node(4)),
+            ],
+        ),
+        // The paper assumes "a memory operation can always access the
+        // necessary bank"; this measures what that idealization hides with
+        // 4 or 8 interleaved banks.
+        configs(
+            "memory bank conflicts (Coupled)",
+            vec![
+                ("no conflicts", base()),
+                ("8 banks", banked(8)),
+                ("4 banks", banked(4)),
+            ],
+        ),
+        // "A unit may be pipelined to arbitrary depth" (§2);
+        // multithreading hides the deeper pipelines much as it hides
+        // memory latency.
+        configs(
+            "floating-point pipeline depth (Coupled)",
+            vec![
+                ("fpu lat 1", base()),
+                ("fpu lat 2", fpu(2)),
+                ("fpu lat 4", fpu(4)),
+            ],
+        ),
+        // The paper's compiler "performs several optimizations"; this
+        // measures what they buy end to end.
+        Study {
+            name: "compiler optimizations (Coupled)",
+            mode: MachineMode::Coupled,
+            variants: vec![
+                ("optimized", base(), opts(true, false)),
+                ("naive", base(), opts(false, false)),
+            ],
+        },
+        // The §7 "better compilation" extension; the paper's own compiler
+        // never moves code across basic blocks. Run in STS mode, where
+        // static schedule quality matters most.
+        Study {
+            name: "loop-invariant code motion (STS)",
+            mode: MachineMode::Sts,
+            variants: vec![
+                ("paper-faithful", base(), opts(true, false)),
+                ("with LICM", base(), opts(true, true)),
+            ],
+        },
+    ]
 }
 
-/// Destination-register budget (1, the paper's 2, and 3), Coupled mode.
-/// With a single destination every cross-cluster value costs an explicit
-/// move.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn dual_destinations(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "destination-register budget (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("1 dst", MachineConfig::baseline().with_max_dsts(1)),
-            ("2 dsts", MachineConfig::baseline().with_max_dsts(2)),
-            ("3 dsts", MachineConfig::baseline().with_max_dsts(3)),
-        ],
-    )
-}
-
-/// Writeback-buffer depth under the Tri-Port interconnect, Coupled mode.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn wb_buffering(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let base = || MachineConfig::baseline().with_interconnect(InterconnectScheme::TriPort);
-    sweep(
-        "writeback buffer depth under Tri-Port (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("depth 1", base().with_wb_buffer(1)),
-            ("depth 2", base().with_wb_buffer(2)),
-            ("depth 4", base().with_wb_buffer(4)),
-            ("depth 8", base().with_wb_buffer(8)),
-        ],
-    )
-}
-
-/// Arithmetic-cluster count 1/2/4 (Coupled mode) — the paper's intro:
-/// coupling is "useful in machines ranging from workstations based upon a
-/// single multi-ALU node to massively parallel machines"; this sweeps the
-/// node's width.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn cluster_count(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let node = |n: usize| {
-        let mut clusters = vec![pc_isa::ClusterConfig::arithmetic(); n];
-        clusters.push(pc_isa::ClusterConfig::branch());
-        MachineConfig::new(clusters)
-    };
-    sweep(
-        "arithmetic cluster count (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("1 cluster (workstation)", node(1)),
-            ("2 clusters", node(2)),
-            ("4 clusters", node(4)),
-        ],
-    )
-}
-
-/// Bank conflicts on vs off (Coupled mode) — the paper assumes "a memory
-/// operation can always access the necessary bank"; this measures what
-/// that idealization hides with 4 or 8 interleaved banks.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn bank_conflicts(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let banked =
-        |n| MachineConfig::baseline().with_memory(pc_isa::MemoryModel::min().with_banks(n));
-    sweep(
-        "memory bank conflicts (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("no conflicts", MachineConfig::baseline()),
-            ("8 banks", banked(8)),
-            ("4 banks", banked(4)),
-        ],
-    )
-}
-
-/// Branch-cluster count (Coupled mode) — the paper: "simulation showed
-/// that a single branch unit is sufficient" (§4, Number and Mix).
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn branch_units(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let one_branch = {
-        let mut clusters = vec![pc_isa::ClusterConfig::arithmetic(); 4];
-        clusters.push(pc_isa::ClusterConfig::branch());
-        MachineConfig::new(clusters)
-    };
-    sweep(
-        "branch clusters (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("2 branch clusters", MachineConfig::baseline()),
-            ("1 branch cluster", one_branch),
-        ],
-    )
-}
-
-/// Floating-point pipeline depth 1–4 (Coupled mode) — "a unit may be
-/// pipelined to arbitrary depth" (§2); multithreading hides the deeper
-/// pipelines much as it hides memory latency.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn fpu_depth(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "floating-point pipeline depth (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("fpu lat 1", MachineConfig::baseline()),
-            (
-                "fpu lat 2",
-                MachineConfig::baseline().with_unit_latency(pc_isa::UnitClass::Float, 2),
-            ),
-            (
-                "fpu lat 4",
-                MachineConfig::baseline().with_unit_latency(pc_isa::UnitClass::Float, 4),
-            ),
-        ],
-    )
-}
-
-/// Compiler optimizations on vs off (Coupled mode) — the paper's
-/// compiler "performs several optimizations"; this measures what they
-/// buy end to end.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn optimizer(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let mut rows = Vec::new();
-    for b in benches {
-        for (label, optimize) in [("optimized", true), ("naive", false)] {
-            let out = crate::runner::run_benchmark_with_options(
-                b,
-                MachineMode::Coupled,
-                MachineConfig::baseline(),
-                pc_compiler::CompileOptions {
-                    optimize,
-                    licm: false,
-                },
-            )?;
-            rows.push(AblationRow {
-                bench: b.name.to_string(),
-                variant: label.to_string(),
-                cycles: out.stats.cycles,
-            });
-        }
-    }
-    Ok(AblationResults {
-        name: "compiler optimizations (Coupled)",
-        rows,
-    })
-}
-
-/// Loop-invariant code motion on vs off — the §7 "better compilation"
-/// extension; the paper's own compiler never moves code across basic
-/// blocks. Run in STS mode where static schedule quality matters most.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn licm(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let mut rows = Vec::new();
-    for b in benches {
-        for (label, licm) in [("paper-faithful", false), ("with LICM", true)] {
-            let out = crate::runner::run_benchmark_with_options(
-                b,
-                MachineMode::Sts,
-                MachineConfig::baseline(),
-                pc_compiler::CompileOptions {
-                    optimize: true,
-                    licm,
-                },
-            )?;
-            rows.push(AblationRow {
-                bench: b.name.to_string(),
-                variant: label.to_string(),
-                cycles: out.stats.cycles,
-            });
-        }
-    }
-    Ok(AblationResults {
-        name: "loop-invariant code motion (STS)",
-        rows,
-    })
-}
-
-/// Runs every ablation on the fast benchmarks.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_all() -> Result<Vec<AblationResults>, RunError> {
-    run_all_jobs(1)
-}
-
-/// Runs every ablation, fanning the independent studies over `jobs`
-/// worker threads with serial-identical study ordering.
-///
-/// # Errors
-/// Propagates the first (lowest study-index) failure.
-pub fn run_all_jobs(jobs: usize) -> Result<Vec<AblationResults>, RunError> {
-    let benches = vec![
+/// The benchmarks the ablations run on by default: the fast ones.
+pub fn benches() -> Vec<Benchmark> {
+    vec![
         crate::benchmarks::matrix(),
         crate::benchmarks::fft(),
         crate::benchmarks::model(),
-    ];
-    type Study = fn(&[Benchmark]) -> Result<AblationResults, RunError>;
-    let studies: [Study; 10] = [
-        slip,
-        arbitration,
-        dual_destinations,
-        wb_buffering,
-        branch_units,
-        cluster_count,
-        bank_conflicts,
-        fpu_depth,
-        optimizer,
-        licm,
-    ];
-    crate::sweep::try_par_map(&studies, jobs, |study| study(&benches))
+    ]
+}
+
+/// Runs every study over `benches` (see [`benches`]), fanning
+/// all study × benchmark × variant runs over `jobs` worker threads with
+/// serial-identical ordering.
+///
+/// # Errors
+/// Propagates the first (lowest grid-index) failure.
+pub fn run(benches: &[Benchmark], jobs: usize) -> Result<Vec<AblationResults>, RunError> {
+    run_studies(&studies(), benches, jobs)
+}
+
+fn run_studies(
+    studies: &[Study],
+    benches: &[Benchmark],
+    jobs: usize,
+) -> Result<Vec<AblationResults>, RunError> {
+    let points: Vec<Point> = studies
+        .iter()
+        .flat_map(|study| {
+            benches.iter().flat_map(move |b| {
+                study
+                    .variants
+                    .iter()
+                    .map(move |(_, config, options)| (b, study.mode, config.clone(), *options))
+            })
+        })
+        .collect();
+    let mut outs = run_points(&points, jobs)?.into_iter();
+    Ok(studies
+        .iter()
+        .map(|study| AblationResults {
+            name: study.name,
+            rows: benches
+                .iter()
+                .flat_map(|b| study.variants.iter().map(move |v| (b, v.0)))
+                .zip(outs.by_ref())
+                .map(|((b, label), out)| AblationRow {
+                    bench: b.name.to_string(),
+                    variant: label.to_string(),
+                    cycles: out.stats.cycles,
+                })
+                .collect(),
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -371,9 +288,19 @@ mod tests {
     use super::*;
     use crate::benchmarks;
 
+    /// Runs the one study whose name starts with `name`.
+    fn study(name: &str, benches: &[Benchmark]) -> AblationResults {
+        let picked: Vec<Study> = studies()
+            .into_iter()
+            .filter(|s| s.name.starts_with(name))
+            .collect();
+        assert_eq!(picked.len(), 1, "{name}");
+        run_studies(&picked, benches, 1).unwrap().remove(0)
+    }
+
     #[test]
     fn slip_beats_lockstep() {
-        let r = slip(&[benchmarks::matrix()]).unwrap();
+        let r = study("intra-row slip", &[benchmarks::matrix()]);
         let with = r.cycles("Matrix", "slip").unwrap();
         let without = r.cycles("Matrix", "lockstep").unwrap();
         assert!(
@@ -385,14 +312,14 @@ mod tests {
 
     #[test]
     fn arbitration_policies_both_validate() {
-        let r = arbitration(&[benchmarks::fft()]).unwrap();
+        let r = study("unit arbitration", &[benchmarks::fft()]);
         assert!(r.cycles("FFT", "round-robin").is_some());
         assert!(r.cycles("FFT", "fixed-priority").is_some());
     }
 
     #[test]
     fn single_destination_costs_cycles() {
-        let r = dual_destinations(&[benchmarks::matrix()]).unwrap();
+        let r = study("destination-register", &[benchmarks::matrix()]);
         let one = r.cycles("Matrix", "1 dst").unwrap();
         let two = r.cycles("Matrix", "2 dsts").unwrap();
         assert!(one >= two, "1 dst {one} vs 2 dsts {two}");
@@ -406,7 +333,7 @@ mod tests {
 
     #[test]
     fn wider_nodes_speed_up_threaded_code() {
-        let r = cluster_count(&[benchmarks::matrix()]).unwrap();
+        let r = study("arithmetic cluster", &[benchmarks::matrix()]);
         let one = r.cycles("Matrix", "1 cluster (workstation)").unwrap();
         let two = r.cycles("Matrix", "2 clusters").unwrap();
         let four = r.cycles("Matrix", "4 clusters").unwrap();
@@ -424,7 +351,7 @@ mod tests {
         // At benchmark scale, second-order arbitration effects can swing a
         // couple of percent either way; the cycle assertion uses slack and
         // the mechanism is verified through the wait counter.
-        let r = bank_conflicts(&[benchmarks::matrix()]).unwrap();
+        let r = study("memory bank", &[benchmarks::matrix()]);
         let ideal = r.cycles("Matrix", "no conflicts").unwrap() as f64;
         let four = r.cycles("Matrix", "4 banks").unwrap() as f64;
         assert!(four >= 0.95 * ideal, "4 banks {four} vs ideal {ideal}");
@@ -442,7 +369,7 @@ mod tests {
 
     #[test]
     fn one_branch_cluster_is_nearly_sufficient() {
-        let r = branch_units(&[benchmarks::matrix()]).unwrap();
+        let r = study("branch clusters", &[benchmarks::matrix()]);
         let two = r.cycles("Matrix", "2 branch clusters").unwrap();
         let one = r.cycles("Matrix", "1 branch cluster").unwrap();
         // Paper: a single branch unit suffices; allow modest slack.
@@ -455,7 +382,7 @@ mod tests {
 
     #[test]
     fn deeper_fpu_pipelines_cost_but_validate() {
-        let r = fpu_depth(&[benchmarks::matrix()]).unwrap();
+        let r = study("floating-point", &[benchmarks::matrix()]);
         let d1 = r.cycles("Matrix", "fpu lat 1").unwrap();
         let d4 = r.cycles("Matrix", "fpu lat 4").unwrap();
         assert!(d4 > d1, "lat 4 {d4} vs lat 1 {d1}");
@@ -465,8 +392,8 @@ mod tests {
 
     #[test]
     fn licm_helps_or_holds_and_validates() {
-        // run_benchmark validates numerically in both configurations.
-        let r = licm(&[benchmarks::matrix(), benchmarks::lud()]).unwrap();
+        // Every run validates numerically, in both configurations.
+        let r = study("loop-invariant", &[benchmarks::matrix(), benchmarks::lud()]);
         for bench in ["Matrix", "LUD"] {
             let faithful = r.cycles(bench, "paper-faithful").unwrap() as f64;
             let hoisted = r.cycles(bench, "with LICM").unwrap() as f64;
@@ -479,8 +406,8 @@ mod tests {
 
     #[test]
     fn optimizations_pay_and_never_change_results() {
-        // run_benchmark validates numerically either way.
-        let r = optimizer(&[benchmarks::matrix()]).unwrap();
+        // Every run validates numerically, either way.
+        let r = study("compiler optimizations", &[benchmarks::matrix()]);
         let opt = r.cycles("Matrix", "optimized").unwrap();
         let naive = r.cycles("Matrix", "naive").unwrap();
         assert!(naive > opt, "naive {naive} vs optimized {opt}");
@@ -488,7 +415,7 @@ mod tests {
 
     #[test]
     fn deeper_writeback_buffers_help_under_contention() {
-        let r = wb_buffering(&[benchmarks::matrix()]).unwrap();
+        let r = study("writeback buffer", &[benchmarks::matrix()]);
         let d1 = r.cycles("Matrix", "depth 1").unwrap();
         let d8 = r.cycles("Matrix", "depth 8").unwrap();
         assert!(d8 <= d1, "depth 8 {d8} vs depth 1 {d1}");

@@ -1,11 +1,12 @@
 //! Table 2 / Figure 4 / Figure 5: baseline cycle counts and function-unit
 //! utilizations for the five machine modes over the benchmark suite.
 
+use super::{every_mode, run_points};
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
-use pc_isa::{MachineConfig, UnitClass};
+use crate::runner::RunError;
+use pc_isa::UnitClass;
 use std::collections::BTreeMap;
 
 /// One benchmark × mode measurement.
@@ -90,62 +91,31 @@ impl BaselineResults {
 }
 
 /// Runs the baseline study over `benches` (every mode each benchmark
-/// supports) on the paper's baseline machine.
-///
-/// # Errors
-/// Propagates the first compile/simulate/validate failure.
-pub fn run_with(benches: &[Benchmark]) -> Result<BaselineResults, RunError> {
-    run_with_jobs(benches, 1)
-}
-
-/// [`run_with`] fanning the benchmark × mode grid over `jobs` worker
-/// threads ([`crate::sweep::try_par_map`]); the rows come back in the
-/// same order as the serial sweep.
+/// supports) on the paper's baseline machine, fanning the benchmark ×
+/// mode grid over `jobs` worker threads; the rows come back in grid
+/// order whatever `jobs` is.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
-pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<BaselineResults, RunError> {
-    let points: Vec<(&Benchmark, MachineMode)> = benches
+pub fn run(benches: &[Benchmark], jobs: usize) -> Result<BaselineResults, RunError> {
+    let points = every_mode(benches);
+    let outs = run_points(&points, jobs)?;
+    let rows = points
         .iter()
-        .flat_map(|b| {
-            MachineMode::all()
-                .into_iter()
-                .filter(|&mode| b.source(mode).is_some())
-                .map(move |mode| (b, mode))
-        })
-        .collect();
-    let rows = crate::sweep::try_par_map(&points, jobs, |&(b, mode)| -> Result<_, RunError> {
-        let out = run_benchmark(b, mode, MachineConfig::baseline())?;
-        let utilization = UnitClass::all()
-            .into_iter()
-            .map(|c| (c, out.stats.utilization(c)))
-            .collect();
-        Ok(BaselineRow {
+        .zip(outs)
+        .map(|(&(b, mode, ..), out)| BaselineRow {
             bench: b.name.to_string(),
             mode,
             cycles: out.stats.cycles,
             ops: out.stats.ops_issued,
-            utilization,
+            utilization: UnitClass::all()
+                .into_iter()
+                .map(|c| (c, out.stats.utilization(c)))
+                .collect(),
             peak_registers: out.peak_registers,
         })
-    })?;
+        .collect();
     Ok(BaselineResults { rows })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates the first failure.
-pub fn run() -> Result<BaselineResults, RunError> {
-    run_with(&crate::benchmarks::all())
-}
-
-/// Runs the full suite on `jobs` worker threads.
-///
-/// # Errors
-/// Propagates the first (lowest grid-index) failure.
-pub fn run_jobs(jobs: usize) -> Result<BaselineResults, RunError> {
-    run_with_jobs(&crate::benchmarks::all(), jobs)
 }
 
 #[cfg(test)]
@@ -155,7 +125,7 @@ mod tests {
 
     #[test]
     fn matrix_baseline_orderings_match_paper() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run(&[benchmarks::matrix()], 1).unwrap();
         let seq = r.cycles("Matrix", MachineMode::Seq).unwrap();
         let sts = r.cycles("Matrix", MachineMode::Sts).unwrap();
         let tpe = r.cycles("Matrix", MachineMode::Tpe).unwrap();
@@ -174,7 +144,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run(&[benchmarks::matrix()], 1).unwrap();
         let t2 = r.table2().render();
         assert!(t2.contains("Matrix"));
         assert!(t2.contains("Ideal"));

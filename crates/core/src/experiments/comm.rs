@@ -3,10 +3,12 @@
 //! ("in a four cluster system the interconnection and register file area
 //! for Tri-Port is 28% that of complete connection").
 
+use super::{run_points, Point};
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
+use crate::runner::RunError;
+use pc_compiler::CompileOptions;
 use pc_isa::{InterconnectScheme, MachineConfig};
 use pc_xconn::area;
 
@@ -87,56 +89,39 @@ impl CommResults {
     }
 }
 
-/// Runs the communication study over `benches`.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<CommResults, RunError> {
-    run_with_jobs(benches, 1)
-}
-
-/// [`run_with`] fanning the benchmark × scheme grid over `jobs` worker
-/// threads with serial-identical row ordering.
+/// Runs the communication study over `benches`, fanning the benchmark ×
+/// scheme grid over `jobs` worker threads with serial-identical row
+/// ordering.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
-pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<CommResults, RunError> {
-    let points: Vec<(&Benchmark, InterconnectScheme)> = benches
+pub fn run(benches: &[Benchmark], jobs: usize) -> Result<CommResults, RunError> {
+    let points: Vec<Point> = benches
         .iter()
-        .flat_map(|b| InterconnectScheme::all().into_iter().map(move |s| (b, s)))
+        .flat_map(|b| {
+            InterconnectScheme::all().into_iter().map(move |s| {
+                let config = MachineConfig::baseline().with_interconnect(s);
+                (b, MachineMode::Coupled, config, CompileOptions::default())
+            })
+        })
         .collect();
-    let rows = crate::sweep::try_par_map(&points, jobs, |&(b, scheme)| -> Result<_, RunError> {
-        let config = MachineConfig::baseline().with_interconnect(scheme);
-        let out = run_benchmark(b, MachineMode::Coupled, config)?;
-        Ok(CommRow {
+    let outs = run_points(&points, jobs)?;
+    let rows = points
+        .iter()
+        .zip(outs)
+        .map(|((b, _, config, _), out)| CommRow {
             bench: b.name.to_string(),
-            scheme,
+            scheme: config.interconnect,
             cycles: out.stats.cycles,
             denials: out.stats.xconn.denials,
         })
-    })?;
+        .collect();
     let baseline = MachineConfig::baseline();
     let area_ratios = InterconnectScheme::all()
         .into_iter()
         .map(|s| (s, area::ratio_to_full(&baseline, s)))
         .collect();
     Ok(CommResults { rows, area_ratios })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<CommResults, RunError> {
-    run_with(&crate::benchmarks::all())
-}
-
-/// Runs the full suite on `jobs` worker threads.
-///
-/// # Errors
-/// Propagates the first (lowest grid-index) failure.
-pub fn run_jobs(jobs: usize) -> Result<CommResults, RunError> {
-    run_with_jobs(&crate::benchmarks::all(), jobs)
 }
 
 #[cfg(test)]
@@ -146,7 +131,7 @@ mod tests {
 
     #[test]
     fn restricting_ports_never_speeds_up_and_triport_stays_close() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run(&[benchmarks::matrix()], 1).unwrap();
         let full = r.cycles("Matrix", InterconnectScheme::Full).unwrap();
         for scheme in InterconnectScheme::all() {
             let c = r.cycles("Matrix", scheme).unwrap();
@@ -173,7 +158,7 @@ mod tests {
 
     #[test]
     fn area_ratios_present_and_render() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run(&[benchmarks::matrix()], 1).unwrap();
         assert_eq!(r.area_ratios.len(), 5);
         let tri = r
             .area_ratios

@@ -3,11 +3,13 @@
 //! scheduled loops dilate at runtime according to priority, yet the
 //! aggregate beats the single-threaded STS machine.
 
-use crate::benchmarks::{model_queue_coupled, model_queue_sts};
+use crate::benchmarks::{model_queue_coupled, model_queue_sts, Benchmark};
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError, RunOutcome};
+use crate::runner::{run_compiled, source_of, CompiledBenchmark, Observe, RunError, RunOutcome};
 use crate::MachineMode;
+use pc_compiler::CompileOptions;
 use pc_isa::{ArbitrationPolicy, BranchOp, MachineConfig, OpKind, Program, SegmentId};
+use std::sync::Arc;
 
 /// Per-thread measurement.
 #[derive(Debug, Clone)]
@@ -123,28 +125,43 @@ fn worker_probe_rows(out: &RunOutcome) -> Vec<(u32, f64, usize)> {
         .collect()
 }
 
+/// Compiles and runs `bench` once, returning the outcome together with
+/// the program it ran (whose loop schedules the table reports).
+fn run_one(
+    bench: &Benchmark,
+    mode: MachineMode,
+    config: MachineConfig,
+) -> Result<(RunOutcome, Arc<Program>), RunError> {
+    let image = CompiledBenchmark::compile(
+        source_of(bench, mode)?,
+        mode.schedule_mode(),
+        &config,
+        CompileOptions::default(),
+    )?;
+    let out = run_compiled(bench, &image, config, &Observe::default())?;
+    Ok((out, image.program))
+}
+
 /// Runs the interference study.
 ///
 /// # Errors
 /// Propagates pipeline failures.
 pub fn run() -> Result<InterferenceResults, RunError> {
     // STS comparison point: one thread, unrestricted clusters.
-    let sts_bench = model_queue_sts();
-    let sts = run_benchmark(&sts_bench, MachineMode::Sts, MachineConfig::baseline())?;
-
+    let (sts, sts_program) = run_one(
+        &model_queue_sts(),
+        MachineMode::Sts,
+        MachineConfig::baseline(),
+    )?;
     // Coupled: four workers under fixed priority.
-    let coupled_bench = model_queue_coupled();
-    let config = MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority);
-    // Recompile to find per-segment static schedules.
-    let coupled = run_benchmark(&coupled_bench, MachineMode::Coupled, config)?;
+    let (coupled, coupled_program) = run_one(
+        &model_queue_coupled(),
+        MachineMode::Coupled,
+        MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority),
+    )?;
 
     let mut rows = Vec::new();
     // STS row: static loop of the main segment.
-    let sts_out = pc_compiler::compile(
-        &sts_bench.seq_src,
-        &MachineConfig::baseline(),
-        MachineMode::Sts.schedule_mode(),
-    )?;
     let sts_probes = worker_probe_rows(&sts);
     let (mut sts_rt, mut sts_devices) = (0.0, 20);
     if let Some(&(_, m, n)) = sts_probes.first() {
@@ -154,17 +171,12 @@ pub fn run() -> Result<InterferenceResults, RunError> {
     rows.push(ThreadRow {
         mode: "STS",
         thread: 1,
-        compile_time_schedule: loop_body_rows(&sts_out.program, SegmentId(0)),
+        compile_time_schedule: loop_body_rows(&sts_program, SegmentId(0)),
         runtime_cycles: sts_rt,
         devices: sts_devices,
     });
 
     // Coupled rows: workers are threads 1..=4 (spawn order = priority).
-    let coupled_compile = pc_compiler::compile(
-        &coupled_bench.threaded_src,
-        &MachineConfig::baseline(),
-        MachineMode::Coupled.schedule_mode(),
-    )?;
     // Worker segments are the forall variants (ids 1..=k); report the
     // *shortest* variant's loop as the nominal compile-time schedule the
     // way the paper quotes one number per thread.
@@ -178,7 +190,7 @@ pub fn run() -> Result<InterferenceResults, RunError> {
         rows.push(ThreadRow {
             mode: "Coupled",
             thread: i + 1,
-            compile_time_schedule: loop_body_rows(&coupled_compile.program, seg),
+            compile_time_schedule: loop_body_rows(&coupled_program, seg),
             runtime_cycles: m,
             devices: n,
         });

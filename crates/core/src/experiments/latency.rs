@@ -3,10 +3,12 @@
 //! modes hide them behind other threads' work — "masking of latency is a
 //! major advantage of Coupled over STS".
 
+use super::{run_points, Point};
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
+use crate::runner::RunError;
+use pc_compiler::CompileOptions;
 use pc_isa::{MachineConfig, MemoryModel};
 
 /// Seeds averaged per point (the miss pattern is random; the paper ran
@@ -109,22 +111,25 @@ pub fn modes() -> [MachineMode; 4] {
     ]
 }
 
-/// Runs the latency study over `benches`.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<LatencyResults, RunError> {
-    run_with_jobs(benches, 1)
+/// The seeds one memory model is measured under: Min is deterministic,
+/// so one trial suffices.
+fn seeds(model: MemoryModel) -> &'static [u64] {
+    if model == MemoryModel::min() {
+        &SEEDS[..1]
+    } else {
+        &SEEDS
+    }
 }
 
-/// [`run_with`] fanning the benchmark × mode × memory-model grid over
-/// `jobs` worker threads. One grid point covers all of its seeds, so
-/// the per-row averages are computed exactly as in the serial sweep.
+/// Runs the latency study over `benches`, fanning every benchmark × mode
+/// × memory model × seed run over `jobs` worker threads. Each row
+/// averages its seeds' cycle counts in grid order, exactly as a serial
+/// sweep would.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
-pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<LatencyResults, RunError> {
-    let points: Vec<(&Benchmark, MachineMode, MemoryModel)> = benches
+pub fn run(benches: &[Benchmark], jobs: usize) -> Result<LatencyResults, RunError> {
+    let groups: Vec<(&Benchmark, MachineMode, MemoryModel)> = benches
         .iter()
         .flat_map(|b| {
             modes()
@@ -137,43 +142,30 @@ pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<LatencyResult
                 })
         })
         .collect();
-    let rows =
-        crate::sweep::try_par_map(&points, jobs, |&(b, mode, model)| -> Result<_, RunError> {
-            let mut total = 0u64;
-            let mut n = 0u64;
-            for seed in SEEDS {
+    let points: Vec<Point> = groups
+        .iter()
+        .flat_map(|&(b, mode, model)| {
+            seeds(model).iter().map(move |&seed| {
                 let config = MachineConfig::baseline().with_memory(model).with_seed(seed);
-                let out = run_benchmark(b, mode, config)?;
-                total += out.stats.cycles;
-                n += 1;
-                if model == MemoryModel::min() {
-                    break; // Min is deterministic; one trial suffices.
-                }
-            }
-            Ok(LatencyRow {
+                (b, mode, config, CompileOptions::default())
+            })
+        })
+        .collect();
+    let mut outs = run_points(&points, jobs)?.into_iter();
+    let rows = groups
+        .into_iter()
+        .map(|(b, mode, model)| {
+            let n = seeds(model).len();
+            let total: u64 = outs.by_ref().take(n).map(|o| o.stats.cycles).sum();
+            LatencyRow {
                 bench: b.name.to_string(),
                 mode,
                 memory: model.label(),
                 cycles: total as f64 / n as f64,
-            })
-        })?;
+            }
+        })
+        .collect();
     Ok(LatencyResults { rows })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<LatencyResults, RunError> {
-    run_with(&crate::benchmarks::all())
-}
-
-/// Runs the full suite on `jobs` worker threads.
-///
-/// # Errors
-/// Propagates the first (lowest grid-index) failure.
-pub fn run_jobs(jobs: usize) -> Result<LatencyResults, RunError> {
-    run_with_jobs(&crate::benchmarks::all(), jobs)
 }
 
 #[cfg(test)]
@@ -183,7 +175,7 @@ mod tests {
 
     #[test]
     fn threaded_modes_hide_latency_better_than_static() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run(&[benchmarks::matrix()], 1).unwrap();
         let sts = r.slowdown("Matrix", MachineMode::Sts, "Mem2").unwrap();
         let coupled = r.slowdown("Matrix", MachineMode::Coupled, "Mem2").unwrap();
         assert!(

@@ -2,10 +2,12 @@
 //! over every configuration of 1–4 integer units × 1–4 floating-point
 //! units (memory units fixed at four, one branch cluster).
 
+use super::{run_points, Point};
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::Table;
-use crate::runner::{run_benchmark, RunError};
+use crate::runner::RunError;
+use pc_compiler::CompileOptions;
 use pc_isa::MachineConfig;
 
 /// One benchmark × (IUs, FPUs) measurement.
@@ -69,60 +71,37 @@ impl MixResults {
     }
 }
 
-/// Runs the mix study over `benches` on the full 4×4 grid.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<MixResults, RunError> {
-    run_grid(benches, 4)
-}
-
-/// Runs on an `n × n` sub-grid (tests use 2×2 to stay fast).
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_grid(benches: &[Benchmark], n: usize) -> Result<MixResults, RunError> {
-    run_grid_jobs(benches, n, 1)
-}
-
-/// [`run_grid`] fanning the benchmark × IU × FPU grid over `jobs`
-/// worker threads with serial-identical row ordering.
+/// Runs the mix study over `benches` on the `n × n` grid of 1..=n integer
+/// × 1..=n floating-point units (the paper's figure is `n = 4`; tests use
+/// 2×2 to stay fast), fanned over `jobs` worker threads with
+/// serial-identical row ordering.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
-pub fn run_grid_jobs(benches: &[Benchmark], n: usize, jobs: usize) -> Result<MixResults, RunError> {
-    let points: Vec<(&Benchmark, usize, usize)> = benches
+pub fn run(benches: &[Benchmark], n: usize, jobs: usize) -> Result<MixResults, RunError> {
+    let grid: Vec<(&Benchmark, usize, usize)> = benches
         .iter()
         .flat_map(|b| (1..=n).flat_map(move |ius| (1..=n).map(move |fpus| (b, ius, fpus))))
         .collect();
-    let rows =
-        crate::sweep::try_par_map(&points, jobs, |&(b, ius, fpus)| -> Result<_, RunError> {
+    let points: Vec<Point> = grid
+        .iter()
+        .map(|&(b, ius, fpus)| {
             let config = MachineConfig::with_mix(ius, fpus);
-            let out = run_benchmark(b, MachineMode::Coupled, config)?;
-            Ok(MixRow {
-                bench: b.name.to_string(),
-                ius,
-                fpus,
-                cycles: out.stats.cycles,
-            })
-        })?;
+            (b, MachineMode::Coupled, config, CompileOptions::default())
+        })
+        .collect();
+    let outs = run_points(&points, jobs)?;
+    let rows = grid
+        .into_iter()
+        .zip(outs)
+        .map(|((b, ius, fpus), out)| MixRow {
+            bench: b.name.to_string(),
+            ius,
+            fpus,
+            cycles: out.stats.cycles,
+        })
+        .collect();
     Ok(MixResults { rows })
-}
-
-/// Runs the full suite on the full grid.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<MixResults, RunError> {
-    run_with(&crate::benchmarks::all())
-}
-
-/// Runs the full suite on the full grid over `jobs` worker threads.
-///
-/// # Errors
-/// Propagates the first (lowest grid-index) failure.
-pub fn run_jobs(jobs: usize) -> Result<MixResults, RunError> {
-    run_grid_jobs(&crate::benchmarks::all(), 4, jobs)
 }
 
 #[cfg(test)]
@@ -132,9 +111,9 @@ mod tests {
 
     #[test]
     fn more_units_do_not_hurt_matrix() {
-        // 2×2 grid keeps the test quick; the full surface runs in the
-        // bench harness.
-        let r = run_grid(&[benchmarks::matrix()], 2).unwrap();
+        // 2×2 grid keeps the test quick; `pcsim tables fig8` runs the
+        // full surface.
+        let r = run(&[benchmarks::matrix()], 2, 1).unwrap();
         let c11 = r.cycles("Matrix", 1, 1).unwrap();
         let c22 = r.cycles("Matrix", 2, 2).unwrap();
         assert!(c22 < c11, "2 IU × 2 FPU ({c22}) should beat 1 × 1 ({c11})");

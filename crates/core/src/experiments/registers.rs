@@ -5,11 +5,11 @@
 //! cluster uses a peak of 27 registers. Only ideal mode simulations …
 //! require as many as 490 registers."
 
+use super::{every_mode, run_points};
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
-use pc_isa::MachineConfig;
+use crate::runner::RunError;
 
 /// One benchmark × mode register measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,70 +89,43 @@ impl RegisterResults {
     }
 }
 
-/// Runs the study over `benches`.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<RegisterResults, RunError> {
-    run_with_jobs(benches, 1)
-}
-
-/// [`run_with`] fanning the benchmark × mode grid over `jobs` worker
-/// threads with serial-identical row ordering.
+/// Runs the study over `benches` (every mode each benchmark supports),
+/// fanning the benchmark × mode grid over `jobs` worker threads with
+/// serial-identical row ordering.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
-pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<RegisterResults, RunError> {
-    let points: Vec<(&Benchmark, MachineMode)> = benches
+pub fn run(benches: &[Benchmark], jobs: usize) -> Result<RegisterResults, RunError> {
+    let points = every_mode(benches);
+    let outs = run_points(&points, jobs)?;
+    let rows = points
         .iter()
-        .flat_map(|b| {
-            MachineMode::all()
-                .into_iter()
-                .filter(|&mode| b.source(mode).is_some())
-                .map(move |mode| (b, mode))
-        })
-        .collect();
-    let rows = crate::sweep::try_par_map(&points, jobs, |&(b, mode)| -> Result<_, RunError> {
-        let out = run_benchmark(b, mode, MachineConfig::baseline())?;
-        // Mean per-cluster peak over clusters that hold any register,
-        // over all segments.
-        let (mut total, mut used) = (0u64, 0u64);
-        for seg in &out.segments {
-            for &c in &seg.regs_per_cluster {
-                if c > 0 {
-                    total += c as u64;
-                    used += 1;
+        .zip(outs)
+        .map(|(&(b, mode, ..), out)| {
+            // Mean per-cluster peak over clusters that hold any register,
+            // over all segments.
+            let (mut total, mut used) = (0u64, 0u64);
+            for seg in &out.segments {
+                for &c in &seg.regs_per_cluster {
+                    if c > 0 {
+                        total += c as u64;
+                        used += 1;
+                    }
                 }
             }
-        }
-        Ok(RegisterRow {
-            bench: b.name.to_string(),
-            mode,
-            peak: out.peak_registers,
-            mean_used: if used == 0 {
-                0.0
-            } else {
-                total as f64 / used as f64
-            },
+            RegisterRow {
+                bench: b.name.to_string(),
+                mode,
+                peak: out.peak_registers,
+                mean_used: if used == 0 {
+                    0.0
+                } else {
+                    total as f64 / used as f64
+                },
+            }
         })
-    })?;
+        .collect();
     Ok(RegisterResults { rows })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<RegisterResults, RunError> {
-    run_with(&crate::benchmarks::all())
-}
-
-/// Runs the full suite on `jobs` worker threads.
-///
-/// # Errors
-/// Propagates the first (lowest grid-index) failure.
-pub fn run_jobs(jobs: usize) -> Result<RegisterResults, RunError> {
-    run_with_jobs(&crate::benchmarks::all(), jobs)
 }
 
 #[cfg(test)]
@@ -162,7 +135,7 @@ mod tests {
 
     #[test]
     fn realistic_modes_stay_small_and_ideal_explodes() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run(&[benchmarks::matrix()], 1).unwrap();
         // Paper: realistic < 60 per cluster; allow headroom.
         assert!(
             r.realistic_peak() < 100,

@@ -146,20 +146,15 @@ fn run_point(n: usize, mode: MachineMode) -> Result<u64, RunError> {
     Ok(stats.cycles)
 }
 
-/// Runs the study over the given sizes.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_sizes(sizes: &[usize]) -> Result<ScalingResults, RunError> {
-    run_sizes_jobs(sizes, 1)
-}
+/// The default sizes (4–24; 24 spawns 24 threads + main, within budget).
+pub const SIZES: [usize; 4] = [4, 9, 16, 24];
 
-/// [`run_sizes`] fanning the size × mode grid over `jobs` worker
-/// threads with serial-identical row ordering.
+/// Runs the study over `sizes` (see [`SIZES`]), fanning the size × mode
+/// grid over `jobs` worker threads with serial-identical row ordering.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
-pub fn run_sizes_jobs(sizes: &[usize], jobs: usize) -> Result<ScalingResults, RunError> {
+pub fn run(sizes: &[usize], jobs: usize) -> Result<ScalingResults, RunError> {
     let points: Vec<(usize, MachineMode)> = sizes
         .iter()
         .flat_map(|&n| [MachineMode::Sts, MachineMode::Coupled].map(|mode| (n, mode)))
@@ -174,29 +169,13 @@ pub fn run_sizes_jobs(sizes: &[usize], jobs: usize) -> Result<ScalingResults, Ru
     Ok(ScalingResults { rows })
 }
 
-/// The default sweep (4–24; 24 spawns 24 threads + main, within budget).
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<ScalingResults, RunError> {
-    run_sizes(&[4, 9, 16, 24])
-}
-
-/// The default sweep on `jobs` worker threads.
-///
-/// # Errors
-/// Propagates the first (lowest grid-index) failure.
-pub fn run_jobs(jobs: usize) -> Result<ScalingResults, RunError> {
-    run_sizes_jobs(&[4, 9, 16, 24], jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn coupled_advantage_persists_with_size() {
-        let r = run_sizes(&[4, 12]).unwrap();
+        let r = run(&[4, 12], 1).unwrap();
         for n in [4, 12] {
             let adv = r.advantage(n).unwrap();
             assert!(adv > 1.2, "n={n}: STS/Coupled {adv}");

@@ -3,16 +3,18 @@
 
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
-use pc_compiler::{CompileError, ScheduleMode, SegmentInfo};
+use pc_compiler::{CompileError, CompileOptions, ScheduleMode, SegmentInfo};
 use pc_isa::{DebugMap, MachineConfig, Program};
 use pc_sim::probe::{ChromeTraceSink, Fanout, JsonlSink, StallProfiler};
 use pc_sim::{EngineKind, Machine, RunStats, SimError};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::io::BufWriter;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Generous default cycle budget (the largest benchmark, LUD under Mem2,
 /// runs well under a million cycles).
@@ -101,21 +103,7 @@ pub fn run_benchmark(
     mode: MachineMode,
     config: MachineConfig,
 ) -> Result<RunOutcome, RunError> {
-    run_benchmark_with_options(bench, mode, config, pc_compiler::CompileOptions::default())
-}
-
-/// [`run_benchmark`] with explicit compiler options (used by the
-/// optimizer ablation and differential tests).
-///
-/// # Errors
-/// See [`RunError`].
-pub fn run_benchmark_with_options(
-    bench: &Benchmark,
-    mode: MachineMode,
-    config: MachineConfig,
-    options: pc_compiler::CompileOptions,
-) -> Result<RunOutcome, RunError> {
-    run_benchmark_full(bench, mode, config, options, &Observe::default())
+    run_benchmark_observed(bench, mode, config, &Observe::default())
 }
 
 /// Observability requests for [`run_benchmark_observed`]: what to record
@@ -165,30 +153,30 @@ pub fn run_benchmark_observed(
     config: MachineConfig,
     observe: &Observe,
 ) -> Result<RunOutcome, RunError> {
-    run_benchmark_full(
-        bench,
-        mode,
-        config,
-        pc_compiler::CompileOptions::default(),
-        observe,
-    )
+    let compiled = CompiledBenchmark::compile(
+        source_of(bench, mode)?,
+        mode.schedule_mode(),
+        &config,
+        CompileOptions::default(),
+    )?;
+    run_compiled(bench, &compiled, config, observe)
 }
 
-fn run_benchmark_full(
-    bench: &Benchmark,
-    mode: MachineMode,
-    config: MachineConfig,
-    options: pc_compiler::CompileOptions,
-    observe: &Observe,
-) -> Result<RunOutcome, RunError> {
-    let compiled = compile_benchmark(bench, mode, &config, options)?;
-    run_compiled(bench, &compiled, config, observe)
+/// `bench`'s source text for `mode`.
+///
+/// # Errors
+/// [`RunError::Unsupported`] when the benchmark has no source for `mode`.
+pub(crate) fn source_of(bench: &Benchmark, mode: MachineMode) -> Result<&str, RunError> {
+    bench.source(mode).ok_or(RunError::Unsupported {
+        bench: bench.name,
+        mode,
+    })
 }
 
 /// A benchmark compiled for one mode and compile target: everything a run
 /// needs except the runtime half of the configuration. Cheap to share —
-/// a sweep compiles each distinct (source, schedule mode, compile target)
-/// once and simulates the image under every configuration that shares it.
+/// the compile memo compiles each distinct key once and the image is
+/// simulated under every configuration that shares it.
 #[derive(Debug, Clone)]
 pub struct CompiledBenchmark {
     /// The executable program.
@@ -212,7 +200,7 @@ impl CompiledBenchmark {
         src: &str,
         schedule: ScheduleMode,
         config: &MachineConfig,
-        options: pc_compiler::CompileOptions,
+        options: CompileOptions,
     ) -> Result<CompiledBenchmark, CompileError> {
         let out = pc_compiler::compile_with_options(src, config, schedule, options)?;
         Ok(CompiledBenchmark {
@@ -224,31 +212,68 @@ impl CompiledBenchmark {
     }
 }
 
-/// Compiles `bench`'s source for `mode` against `config` (see
-/// [`CompiledBenchmark::compile`]).
+/// A compiled image, or the error every run sharing its key fails with.
+type Image = Result<Arc<CompiledBenchmark>, CompileError>;
+
+/// One memo entry: filled exactly once by whichever run gets there first.
+type MemoSlot = Arc<OnceLock<Image>>;
+
+/// The compile targets seen for one (source text, schedule mode, options).
+type TargetSlots = Vec<(MachineConfig, MemoSlot)>;
+
+/// Compiled images keyed on (source text, schedule mode, compiler
+/// options, [compile target](MachineConfig::compile_target)). Runs that
+/// differ only in runtime axes — interconnect, memory model, seed,
+/// arbitration — share one compile; each still gets its own decode and
+/// machine under its full configuration. A sweep and an experiment grid
+/// each keep one memo for the length of the call.
 ///
-/// # Errors
-/// [`RunError::Unsupported`] when the benchmark has no source for `mode`;
-/// [`RunError::Compile`] when compilation fails.
-pub fn compile_benchmark(
-    bench: &Benchmark,
-    mode: MachineMode,
-    config: &MachineConfig,
-    options: pc_compiler::CompileOptions,
-) -> Result<CompiledBenchmark, RunError> {
-    let src = bench.source(mode).ok_or(RunError::Unsupported {
-        bench: bench.name,
-        mode,
-    })?;
-    Ok(CompiledBenchmark::compile(
-        src,
-        mode.schedule_mode(),
-        config,
-        options,
-    )?)
+/// Each key compiles at most once, even when several workers want it at
+/// the same moment: the map lock is held only to find or insert the
+/// key's slot, and the slot's `OnceLock` makes latecomers wait for the
+/// first compile instead of starting their own. The image is compiled
+/// against the target itself, so it cannot depend on which run won.
+#[derive(Default)]
+pub(crate) struct CompileMemo<'a> {
+    slots: Mutex<HashMap<(&'a str, ScheduleMode, CompileOptions), TargetSlots>>,
 }
 
-/// Simulates an already [compiled](compile_benchmark) benchmark on
+impl<'a> CompileMemo<'a> {
+    /// The image for `src` under `schedule` and `options` on `config`'s
+    /// compile target, plus the compile time when this call was the one
+    /// that compiled it (`None` for a reuse).
+    pub(crate) fn get(
+        &self,
+        src: &'a str,
+        schedule: ScheduleMode,
+        options: CompileOptions,
+        config: &MachineConfig,
+    ) -> (Image, Option<u64>) {
+        let target = config.compile_target();
+        let slot = {
+            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+            let entries = slots.entry((src, schedule, options)).or_default();
+            match entries.iter().find(|(t, _)| *t == target) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = MemoSlot::default();
+                    entries.push((target.clone(), Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        let mut compile_ns = None;
+        let image = slot.get_or_init(|| {
+            let t0 = Instant::now();
+            let out = CompiledBenchmark::compile(src, schedule, &target, options).map(Arc::new);
+            compile_ns = Some(t0.elapsed().as_nanos() as u64);
+            out
+        });
+        (image.clone(), compile_ns)
+    }
+}
+
+/// Simulates an already [compiled](CompiledBenchmark) benchmark on
 /// `config` and validates its output. `config` should share the compile
 /// target of the configuration `compiled` was built for; its runtime
 /// fields (interconnect, memory, seed, …) drive the simulation. The

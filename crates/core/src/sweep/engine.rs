@@ -6,8 +6,10 @@
 //! The paper's tables are points sampled from the full grid
 //! `benchmarks × modes × interconnect schemes × memory models × FU
 //! mixes`; [`SweepSpec`] describes any sub-grid of it, and
-//! [`run_sweep`] executes one — this is the substrate the experiment
-//! harness and the `pcsim sweep` subcommand share.
+//! [`run_sweep`] executes one for `pcsim sweep` and perfbench. The
+//! experiment harness runs its point lists through the same two shared
+//! pieces — the work-stealing pool and the runner's compile memo — but
+//! without the cache, JSONL stream or manifest.
 //!
 //! Determinism contract: the rows of a sweep (and the JSONL lines,
 //! after zeroing the per-row `wall_ns` and `cached` fields) are a pure
@@ -22,17 +24,17 @@ use super::pool::run_pool;
 use super::telemetry::SweepTelemetry;
 use crate::benchmarks::{self, Benchmark};
 use crate::mode::MachineMode;
-use crate::runner::{run_compiled, CompiledBenchmark, Observe, RunError};
-use pc_compiler::{CompileError, CompileOptions, ScheduleMode};
+use crate::runner::{run_compiled, CompileMemo, Observe, RunError};
+use pc_compiler::CompileOptions;
 use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
 use pc_sim::RunStats;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io::Write as _;
 use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Version of the JSONL row / manifest schema.
@@ -654,70 +656,6 @@ fn scan_jsonl_done(path: &Path) -> BTreeSet<String> {
 }
 
 // ---------------------------------------------------------------------
-// Compile memo
-// ---------------------------------------------------------------------
-
-/// A compiled image, or the error every cell sharing its key fails with.
-type Image = Result<Arc<CompiledBenchmark>, CompileError>;
-
-/// One memo entry: filled exactly once by whichever cell gets there first.
-type MemoSlot = Arc<OnceLock<Image>>;
-
-/// The compile targets seen for one (source text, schedule mode).
-type TargetSlots = Vec<(MachineConfig, MemoSlot)>;
-
-/// The compiled images of one sweep, keyed on (source text, schedule
-/// mode, [compile target](MachineConfig::compile_target)). Cells that
-/// differ only in runtime axes — interconnect, memory model, seed — share
-/// one compile; each still gets its own decode and machine under its full
-/// configuration.
-///
-/// Each key compiles at most once, even when several workers want it at
-/// the same moment: the map lock is held only to find or insert the
-/// key's slot, and the slot's `OnceLock` makes latecomers wait for the
-/// first compile instead of starting their own. The image is compiled
-/// against the target itself, so it cannot depend on which cell won.
-#[derive(Default)]
-struct CompileMemo<'a> {
-    slots: Mutex<HashMap<(&'a str, ScheduleMode), TargetSlots>>,
-}
-
-impl<'a> CompileMemo<'a> {
-    /// The image for `src` under `schedule` on `config`'s compile target,
-    /// plus the compile time when this call was the one that compiled it
-    /// (`None` for a reuse).
-    fn get(
-        &self,
-        src: &'a str,
-        schedule: ScheduleMode,
-        config: &MachineConfig,
-    ) -> (Image, Option<u64>) {
-        let target = config.compile_target();
-        let slot = {
-            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-            let entries = slots.entry((src, schedule)).or_default();
-            match entries.iter().find(|(t, _)| *t == target) {
-                Some((_, slot)) => Arc::clone(slot),
-                None => {
-                    let slot = MemoSlot::default();
-                    entries.push((target.clone(), Arc::clone(&slot)));
-                    slot
-                }
-            }
-        };
-        let mut compile_ns = None;
-        let image = slot.get_or_init(|| {
-            let t0 = Instant::now();
-            let out = CompiledBenchmark::compile(src, schedule, &target, CompileOptions::default())
-                .map(Arc::new);
-            compile_ns = Some(t0.elapsed().as_nanos() as u64);
-            out
-        });
-        (image.clone(), compile_ns)
-    }
-}
-
-// ---------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------
 
@@ -887,7 +825,12 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         } else if let Some(t) = tel_ref {
             t.cache_misses.inc();
         }
-        let (image, compile_ns) = memo.get(source, cell.mode.schedule_mode(), &config);
+        let (image, compile_ns) = memo.get(
+            source,
+            cell.mode.schedule_mode(),
+            CompileOptions::default(),
+            &config,
+        );
         if let Some(t) = tel_ref {
             match compile_ns {
                 Some(ns) => {

@@ -3,10 +3,11 @@
 //! The paper's evaluation is a configuration cross-product — benchmarks
 //! × modes × interconnect schemes × memory models × FU mixes — and each
 //! cell is an independent simulate + validate pipeline over a program
-//! compiled once per sweep for every cell that shares its compile target
-//! (see [`pc_isa::MachineConfig::compile_target`]). This
-//! module is the batch substrate the experiment harness, the benchmark
-//! suite, and the `pcsim sweep` subcommand all share:
+//! compiled once per call for every cell that shares its compile target
+//! (see [`pc_isa::MachineConfig::compile_target`] and the runner's
+//! compile memo). `pcsim sweep`, perfbench and the simcore bench run
+//! grids through [`run_sweep`]; the experiment harness shares only the
+//! [`pool`] (through [`try_par_map`]) and the compile memo.
 //!
 //! - [`pool`] — a work-stealing deque pool (owners pop from the bottom,
 //!   thieves steal blocks from the top) behind the [`par_map`] /

@@ -1,8 +1,9 @@
-//! The compile memo of `run_sweep` must never serve a stale image.
+//! The compile memo of `run_sweep` and the experiment tables must never
+//! serve a stale image.
 //!
-//! A sweep compiles once per (source, schedule mode, compile target) and
-//! runs the image under every interconnect, memory model and seed that
-//! shares the target. These tests pin both halves of that bargain: the
+//! A sweep compiles once per (source, schedule mode, compiler options,
+//! compile target) and runs the image under every interconnect, memory
+//! model and seed that shares the target. These tests pin both halves of that bargain: the
 //! compiler emits the same program for two configurations with equal
 //! [`MachineConfig::compile_target`]s, and a sweep's rows equal per-cell
 //! runs compiled against each cell's full configuration. They live in
@@ -11,7 +12,7 @@
 
 use coupling::sweep::{run_sweep, MemKind, Mix, SweepError, SweepOptions, SweepSpec};
 use coupling::{benchmarks, run_benchmark, MachineMode, RunError};
-use pc_compiler::{compile, CompileError, ScheduleMode, SegmentInfo};
+use pc_compiler::{compile_with_options, CompileError, CompileOptions, ScheduleMode, SegmentInfo};
 use pc_isa::{
     ArbitrationPolicy, DebugMap, InterconnectScheme, MachineConfig, MemoryModel, Program,
 };
@@ -19,8 +20,14 @@ use pc_isa::{
 /// Everything a compile hands the simulator and the reports.
 type Image = (Program, DebugMap, Vec<SegmentInfo>);
 
-fn image(src: &str, config: &MachineConfig, schedule: ScheduleMode) -> Result<Image, CompileError> {
-    compile(src, config, schedule).map(|out| (out.program, out.debug, out.info))
+fn image(
+    src: &str,
+    config: &MachineConfig,
+    schedule: ScheduleMode,
+    options: CompileOptions,
+) -> Result<Image, CompileError> {
+    compile_with_options(src, config, schedule, options)
+        .map(|out| (out.program, out.debug, out.info))
 }
 
 /// The deterministic part of one sweep row.
@@ -46,6 +53,19 @@ fn runtime_variant(base: &MachineConfig) -> MachineConfig {
 #[test]
 fn equal_compile_targets_compile_every_source_identically() {
     let machines = [MachineConfig::baseline(), MachineConfig::with_mix(2, 3)];
+    // The memo also serves the ablations' compiler-option variants, so
+    // the target must be all a compile reads under those too.
+    let options = [
+        CompileOptions::default(),
+        CompileOptions {
+            optimize: false,
+            licm: false,
+        },
+        CompileOptions {
+            optimize: true,
+            licm: true,
+        },
+    ];
     let (mut checked, mut compiled) = (0, 0);
     for bench in benchmarks::all() {
         for mode in MachineMode::all() {
@@ -58,19 +78,30 @@ fn equal_compile_targets_compile_every_source_identically() {
             for base in &machines {
                 let variant = runtime_variant(base);
                 assert_eq!(variant.compile_target(), base.compile_target());
-                // Some sources do not fit a narrow mix; those must fail
-                // alike, since a sweep replays the first compile's error.
-                let a = image(src, base, schedule);
-                let what = format!("{} {} on {base:?}", bench.name, mode.label());
-                assert_eq!(image(src, &variant, schedule), a, "{what}");
-                assert_eq!(image(src, &base.compile_target(), schedule), a, "{what}");
-                compiled += usize::from(a.is_ok());
-                checked += 1;
+                for opts in options {
+                    // Some sources do not fit a narrow mix; those must
+                    // fail alike, since a sweep replays the first
+                    // compile's error.
+                    let a = image(src, base, schedule, opts);
+                    let what = format!("{} {} {opts:?} on {base:?}", bench.name, mode.label());
+                    assert_eq!(image(src, &variant, schedule, opts), a, "{what}");
+                    let target = base.compile_target();
+                    assert_eq!(image(src, &target, schedule, opts), a, "{what}");
+                    compiled += usize::from(a.is_ok());
+                    checked += 1;
+                }
             }
         }
     }
-    assert_eq!(checked, 4 * 5 * 2, "every benchmark × mode × mix");
-    assert!(compiled >= 4 * 5, "only {compiled} of {checked} compiled");
+    assert_eq!(
+        checked,
+        4 * 5 * 2 * 3,
+        "every benchmark × mode × mix × options"
+    );
+    assert!(
+        compiled >= 4 * 5 * 3,
+        "only {compiled} of {checked} compiled"
+    );
 }
 
 #[test]

@@ -14,14 +14,15 @@
 //! ```
 
 use coupling::experiments::{baseline, comm, interference, latency, mix};
-use coupling::MachineMode;
+use coupling::{benchmarks, default_jobs, MachineMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let filter = std::env::args().nth(1).unwrap_or_default();
     let want = |k: &str| filter.is_empty() || filter == k;
+    let (suite, jobs) = (benchmarks::all(), default_jobs());
 
     if want("table2") || want("fig4") || want("fig5") {
-        let r = baseline::run()?;
+        let r = baseline::run(&suite, jobs)?;
         println!("{}", r.table2().render());
         println!("{}", r.fig5().render());
         let avg = |mode: MachineMode| {
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if want("fig6") {
-        let r = comm::run()?;
+        let r = comm::run(&suite, jobs)?;
         println!("{}", r.render());
         for s in pc_isa::InterconnectScheme::all() {
             println!(
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if want("fig7") {
-        let r = latency::run()?;
+        let r = latency::run(&suite, jobs)?;
         println!("{}", r.render());
         for mode in latency::modes() {
             println!(
@@ -78,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if want("fig8") {
-        let r = mix::run()?;
+        let r = mix::run(&suite, 4, jobs)?;
         println!("{}", r.render());
     }
 

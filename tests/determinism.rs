@@ -4,7 +4,7 @@
 //! sweep must reproduce the serial sweep's results exactly (same rows,
 //! same order).
 
-use coupling::experiments::{baseline, comm, latency, mix, scaling};
+use coupling::experiments::{ablation, baseline, comm, latency, mix, registers, scaling};
 use coupling::{benchmarks, run_benchmark, MachineMode};
 use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
 
@@ -54,14 +54,14 @@ fn repeated_runs_are_bit_identical() {
 #[test]
 fn baseline_sweep_parallel_matches_serial() {
     let benches = [benchmarks::matrix(), benchmarks::fft()];
-    let serial = baseline::run_with_jobs(&benches, 1).unwrap();
+    let serial = baseline::run(&benches, 1).unwrap();
     for jobs in [2, 5] {
-        let parallel = baseline::run_with_jobs(&benches, jobs).unwrap();
+        let parallel = baseline::run(&benches, jobs).unwrap();
         assert_eq!(serial, parallel, "jobs={jobs} diverged from serial");
     }
     // Every cycle count individually, for a readable failure if the
     // aggregate assert ever trips.
-    let parallel = baseline::run_with_jobs(&benches, 3).unwrap();
+    let parallel = baseline::run(&benches, 3).unwrap();
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for (s, p) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(s.cycles, p.cycles, "{} {}", s.bench, s.mode);
@@ -74,8 +74,8 @@ fn baseline_sweep_parallel_matches_serial() {
 #[test]
 fn comm_sweep_parallel_matches_serial() {
     let benches = [benchmarks::matrix()];
-    let serial = comm::run_with_jobs(&benches, 1).unwrap();
-    let parallel = comm::run_with_jobs(&benches, 4).unwrap();
+    let serial = comm::run(&benches, 1).unwrap();
+    let parallel = comm::run(&benches, 4).unwrap();
     assert_eq!(serial, parallel);
 }
 
@@ -84,8 +84,8 @@ fn comm_sweep_parallel_matches_serial() {
 #[test]
 fn latency_sweep_parallel_matches_serial() {
     let benches = [benchmarks::matrix()];
-    let serial = latency::run_with_jobs(&benches, 1).unwrap();
-    let parallel = latency::run_with_jobs(&benches, 4).unwrap();
+    let serial = latency::run(&benches, 1).unwrap();
+    let parallel = latency::run(&benches, 4).unwrap();
     assert_eq!(serial, parallel);
 }
 
@@ -93,8 +93,8 @@ fn latency_sweep_parallel_matches_serial() {
 #[test]
 fn mix_sweep_parallel_matches_serial() {
     let benches = [benchmarks::matrix()];
-    let serial = mix::run_grid_jobs(&benches, 2, 1).unwrap();
-    let parallel = mix::run_grid_jobs(&benches, 2, 4).unwrap();
+    let serial = mix::run(&benches, 2, 1).unwrap();
+    let parallel = mix::run(&benches, 2, 4).unwrap();
     assert_eq!(serial, parallel);
 }
 
@@ -102,7 +102,29 @@ fn mix_sweep_parallel_matches_serial() {
 /// parallel driver must keep size × mode ordering.
 #[test]
 fn scaling_sweep_parallel_matches_serial() {
-    let serial = scaling::run_sizes_jobs(&[4, 6], 1).unwrap();
-    let parallel = scaling::run_sizes_jobs(&[4, 6], 4).unwrap();
+    let serial = scaling::run(&[4, 6], 1).unwrap();
+    let parallel = scaling::run(&[4, 6], 4).unwrap();
+    assert_eq!(serial, parallel);
+}
+
+/// The ablation studies run as one flattened study × benchmark × variant
+/// grid, compiler-option variants included; the parallel fan-out must
+/// give back every study's rows in serial order.
+#[test]
+fn ablation_sweep_parallel_matches_serial() {
+    let benches = [benchmarks::matrix()];
+    let serial = ablation::run(&benches, 1).unwrap();
+    let parallel = ablation::run(&benches, 4).unwrap();
+    assert_eq!(serial.len(), 10, "every study reports");
+    assert_eq!(serial, parallel);
+}
+
+/// The register study reads compiler diagnostics off shared compiles;
+/// the parallel driver must reproduce them row for row.
+#[test]
+fn registers_sweep_parallel_matches_serial() {
+    let benches = [benchmarks::matrix(), benchmarks::fft()];
+    let serial = registers::run(&benches, 1).unwrap();
+    let parallel = registers::run(&benches, 4).unwrap();
     assert_eq!(serial, parallel);
 }

@@ -11,7 +11,7 @@ use pc_isa::InterconnectScheme;
 /// and TPE ≈ Coupled on the easily partitioned benchmarks.
 #[test]
 fn table2_mode_orderings() {
-    let r = baseline::run_with(&[benchmarks::matrix(), benchmarks::fft()]).unwrap();
+    let r = baseline::run(&[benchmarks::matrix(), benchmarks::fft()], 1).unwrap();
     for bench in ["Matrix", "FFT"] {
         let seq = r.cycles(bench, MachineMode::Seq).unwrap();
         let sts = r.cycles(bench, MachineMode::Sts).unwrap();
@@ -42,7 +42,7 @@ fn table2_mode_orderings() {
 /// behind Coupled.
 #[test]
 fn table2_fft_coupled_beats_tpe() {
-    let r = baseline::run_with(&[benchmarks::fft()]).unwrap();
+    let r = baseline::run(&[benchmarks::fft()], 1).unwrap();
     let tpe = r.cycles("FFT", MachineMode::Tpe).unwrap();
     let coupled = r.cycles("FFT", MachineMode::Coupled).unwrap();
     assert!(coupled < tpe, "Coupled {coupled} vs TPE {tpe}");
@@ -52,7 +52,7 @@ fn table2_fft_coupled_beats_tpe() {
 /// every floating-point slot (paper: 3.9 of 4).
 #[test]
 fn fig5_ideal_matrix_fpu_nearly_saturates() {
-    let r = baseline::run_with(&[benchmarks::matrix()]).unwrap();
+    let r = baseline::run(&[benchmarks::matrix()], 1).unwrap();
     let row = r
         .rows
         .iter()
@@ -99,7 +99,7 @@ fn table3_interference_shape() {
 /// single-port and single-bus schemes degrade sharply; area shrinks.
 #[test]
 fn fig6_comm_shape() {
-    let r = comm::run_with(&[benchmarks::matrix(), benchmarks::model()]).unwrap();
+    let r = comm::run(&[benchmarks::matrix(), benchmarks::model()], 1).unwrap();
     let tri = r.mean_overhead(InterconnectScheme::TriPort);
     assert!(tri < 1.20, "Tri-Port mean overhead {tri}");
     let single = r.mean_overhead(InterconnectScheme::SinglePort);
@@ -128,7 +128,7 @@ fn fig6_comm_shape() {
 /// registers replaced most memory references).
 #[test]
 fn fig7_latency_shape() {
-    let r = latency::run_with(&[benchmarks::matrix()]).unwrap();
+    let r = latency::run(&[benchmarks::matrix()], 1).unwrap();
     let sts = r.slowdown("Matrix", MachineMode::Sts, "Mem2").unwrap();
     let tpe = r.slowdown("Matrix", MachineMode::Tpe, "Mem2").unwrap();
     let coupled = r.slowdown("Matrix", MachineMode::Coupled, "Mem2").unwrap();
@@ -151,7 +151,7 @@ fn fig7_latency_shape() {
 /// code.
 #[test]
 fn fig8_mix_shape() {
-    let r = mix::run_grid(&[benchmarks::matrix()], 4).unwrap();
+    let r = mix::run(&[benchmarks::matrix()], 4, 1).unwrap();
     let c = |iu, fpu| r.cycles("Matrix", iu, fpu).unwrap();
     assert!(c(1, 1) > c(4, 4), "1x1 {} vs 4x4 {}", c(1, 1), c(4, 4));
     // Adding IUs helps at fixed FPU count.
