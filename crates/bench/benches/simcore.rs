@@ -1,37 +1,38 @@
-//! simcore — throughput baseline for the simulator hot loop and the
-//! parallel sweep driver.
+//! simcore — throughput baseline for the simulator hot loop.
 //!
-//! Times (a) the **simulation phase** — machine construction on a
-//! shared decoded image, input setup, and the cycle loop — for the
-//! full benchmark × machine mode cross-product. Compilation *and*
-//! decode happen once per case outside the timed region: the compiler
-//! is timed by perfbench's traced layers, and decode is load-time work
-//! by design (`DecodedProgram` is built when a program is loaded and
-//! shared across every run of it, exactly as the sweep engine and the
-//! timed loop here use it). Coupled mode additionally gets a row on the
-//! `scan` oracle engine so the decoded backend's margin is itself
-//! regression-gated. Also times (b) the full Table-2 grid
-//! through the sweep engine — serial vs parallel wall-clock, per-shard
-//! wall-clock, and cold/warm cache hit/miss counts, asserting every
-//! path produces bit-identical rows. Results are written to
-//! `BENCH_simcore.json` (schema v4: each case records the `engine`
-//! that produced it) at the workspace root so future changes can be
-//! compared against the committed baseline:
+//! Times the **simulation phase** — machine construction on a shared
+//! decoded image, input setup, and the cycle loop — for the full
+//! benchmark × machine mode cross-product. Compilation *and* decode
+//! happen once per case outside the timed region: the compiler is timed
+//! by perfbench's traced layers, and decode is load-time work by design
+//! (`DecodedProgram` is built when a program is loaded and shared across
+//! every run of it, exactly as the sweep engine and the timed loop here
+//! use it). Coupled mode additionally gets a row on the `scan` oracle
+//! engine so the decoded backend's margin is itself regression-gated,
+//! and Matrix/Coupled a row with a stall profiler attached.
+//!
+//! Timing is interleaved: each round runs every case once, and the
+//! rounds repeat, so host drift lands on every case alike instead of on
+//! whichever case ran during a slow spell. Per case the baseline records
+//! the min, median and mean wall time over the rounds;
+//! `sim_cycles_per_sec`, the metric `bench_gate` compares, is derived
+//! from the min, because noise only ever adds time. `PC_BENCH_QUICK=1`
+//! runs fewer rounds. Results are written to `BENCH_simcore.json`
+//! (schema v5) at the workspace root:
 //!
 //! ```sh
 //! cargo bench -p pc-bench --bench simcore
 //! git diff BENCH_simcore.json   # the trajectory
 //! ```
 
-use coupling::sweep::{run_sweep, SweepOptions, SweepSpec, SweepSummary};
 use coupling::{benchmarks, default_jobs, run_benchmark, MachineMode};
-use criterion::{criterion_group, criterion_main, Criterion};
 use pc_isa::MachineConfig;
-use pc_sim::{DecodedProgram, EngineKind, Machine, StallProfiler};
+use pc_sim::{DecodedProgram, EngineKind, Machine, RunStats, SimError, StallProfiler};
 use std::cell::RefCell;
+use std::hint::black_box;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where the machine-readable baseline lands: the workspace root.
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json");
@@ -39,265 +40,137 @@ const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_si
 /// Cycle budget per simulation (far above any benchmark's real length).
 const CYCLE_LIMIT: u64 = 20_000_000;
 
-fn bench(c: &mut Criterion) {
-    // CI smoke mode (PC_BENCH_QUICK=1): shrink the statistical budget so
-    // the whole target takes seconds; the perf gate allows 25% noise.
-    let quick = pc_bench::quick_mode();
-    let (samples, measure, warmup, sweep_reps) = if quick {
-        (3, Duration::from_millis(250), Duration::from_millis(50), 1)
-    } else {
-        (
-            pc_bench::SAMPLES,
-            Duration::from_secs(2),
-            Duration::from_millis(300),
-            3,
-        )
-    };
+/// Timed rounds in a full run and under `PC_BENCH_QUICK`. Odd, so the
+/// median is one measured round.
+const ROUNDS: usize = 41;
+const QUICK_ROUNDS: usize = 15;
 
-    // (a) Hot-loop throughput: the full benchmark × mode cross-product.
-    // Each case compiles and decodes once, then every timed iteration
-    // builds a machine on the shared decoded image, sets up inputs, and
-    // runs — the simulation phase the `sim_cycles_per_sec` metric
-    // describes. One validated pipeline run up front pins the cycle
-    // count (simulation is deterministic) and keeps the numerics
-    // honest. Per case: `(id, cycles, engine)`.
-    let mut cycles_per_case: Vec<(String, u64, &'static str)> = Vec::new();
-    {
-        let mut g = c.benchmark_group("simcore");
-        g.sample_size(samples)
-            .measurement_time(measure)
-            .warm_up_time(warmup);
-        for b in benchmarks::all() {
-            for mode in MachineMode::all() {
-                let Some(src) = b.source(mode) else { continue };
-                let config = MachineConfig::baseline();
-                let out = run_benchmark(&b, mode, config.clone()).expect("validated run");
-                let compiled =
-                    pc_compiler::compile(src, &config, mode.schedule_mode()).expect("compile");
-                let code = Arc::new(
-                    DecodedProgram::decode(config, Arc::new(compiled.program)).expect("decode"),
-                );
-                let id = format!("{}/{}", b.name, mode.label());
-                cycles_per_case.push((
-                    format!("simcore/{id}"),
-                    out.stats.cycles,
-                    EngineKind::Decoded.name(),
-                ));
-                g.bench_function(&id, |bench| {
-                    bench.iter(|| {
-                        let mut m = Machine::from_decoded(Arc::clone(&code)).unwrap();
-                        (b.setup)(&mut m).unwrap();
-                        m.run(CYCLE_LIMIT).unwrap()
-                    })
-                });
-                // Cross-engine row: the scan oracle on the mode the
-                // decoded backend was built to accelerate. Its id ends
-                // with the engine name, so `/Coupled` floors don't catch
-                // it.
-                if mode == MachineMode::Coupled {
-                    let engine = EngineKind::Scan;
-                    let eid = format!("{id}/{}", engine.name());
-                    cycles_per_case.push((
-                        format!("simcore/{eid}"),
-                        out.stats.cycles,
-                        engine.name(),
-                    ));
-                    g.bench_function(&eid, |bench| {
-                        bench.iter(|| {
-                            let mut m = Machine::from_decoded(Arc::clone(&code)).unwrap();
-                            m.set_engine(engine);
-                            (b.setup)(&mut m).unwrap();
-                            m.run(CYCLE_LIMIT).unwrap()
-                        })
-                    });
-                }
-            }
+/// One timed case: a decoded program plus how to run it.
+#[derive(Clone)]
+struct Case {
+    /// `simcore/<Bench>/<Mode>[/scan|/profiled]`.
+    id: String,
+    code: Arc<DecodedProgram>,
+    setup: fn(&mut Machine) -> Result<(), SimError>,
+    engine: EngineKind,
+    /// Attach a stall profiler, as `Observe::profile` runs it.
+    profiled: bool,
+    /// Simulated cycles per run, pinned by one validated pipeline run.
+    cycles: u64,
+}
+
+impl Case {
+    /// The timed work: build a machine on the shared image, set up
+    /// inputs, run.
+    fn run(&self) -> RunStats {
+        let mut m = Machine::from_decoded(Arc::clone(&self.code)).unwrap();
+        m.set_engine(self.engine);
+        let profiler = self.profiled.then(|| {
+            let profiler = Rc::new(RefCell::new(StallProfiler::new(m.program())));
+            m.attach_probe(Box::new(Rc::clone(&profiler)));
+            profiler
+        });
+        (self.setup)(&mut m).unwrap();
+        let mut stats = m.run(CYCLE_LIMIT).unwrap();
+        if let Some(profiler) = profiler {
+            stats.stalls = profiler.borrow().table();
         }
-        // Traced-vs-untraced pair: Matrix/Coupled with a stall profiler
-        // attached, as `Observe::profile` runs it.
-        // Compare against the plain Matrix/Coupled case above to see the
-        // cost of observation; the untraced number is what the gate
-        // protects (tracing off must stay free).
-        {
-            let b = benchmarks::matrix();
-            let mode = MachineMode::Coupled;
+        stats
+    }
+}
+
+/// Every case, in baseline order. Each benchmark × mode compiles and
+/// decodes once; one validated pipeline run pins its cycle count
+/// (simulation is deterministic) and keeps the numerics honest.
+fn cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for b in benchmarks::all() {
+        for mode in MachineMode::all() {
+            let Some(src) = b.source(mode) else { continue };
             let config = MachineConfig::baseline();
-            let out = run_benchmark(&b, mode, config.clone()).expect("validated run");
+            let cycles = run_benchmark(&b, mode, config.clone())
+                .expect("validated run")
+                .stats
+                .cycles;
             let compiled =
-                pc_compiler::compile(b.source(mode).unwrap(), &config, mode.schedule_mode())
-                    .expect("compile");
+                pc_compiler::compile(src, &config, mode.schedule_mode()).expect("compile");
             let code = Arc::new(
                 DecodedProgram::decode(config, Arc::new(compiled.program)).expect("decode"),
             );
-            cycles_per_case.push((
-                "simcore/Matrix/Coupled/profiled".to_string(),
-                out.stats.cycles,
-                EngineKind::Decoded.name(),
-            ));
-            g.bench_function("Matrix/Coupled/profiled", |bench| {
-                bench.iter(|| {
-                    let mut m = Machine::from_decoded(Arc::clone(&code)).unwrap();
-                    let profiler = Rc::new(RefCell::new(StallProfiler::new(m.program())));
-                    m.attach_probe(Box::new(Rc::clone(&profiler)));
-                    (b.setup)(&mut m).unwrap();
-                    let mut stats = m.run(CYCLE_LIMIT).unwrap();
-                    stats.stalls = profiler.borrow().table();
-                    stats
-                })
+            let case = Case {
+                id: format!("simcore/{}/{}", b.name, mode.label()),
+                code,
+                setup: b.setup,
+                engine: EngineKind::Decoded,
+                profiled: false,
+                cycles,
+            };
+            // The scan oracle on the mode the decoded backend was built
+            // to accelerate. Its id ends with the engine name, so
+            // `/Coupled` floors don't catch it.
+            let scan = (mode == MachineMode::Coupled).then(|| Case {
+                id: format!("{}/scan", case.id),
+                engine: EngineKind::Scan,
+                ..case.clone()
             });
+            cases.push(case);
+            cases.extend(scan);
         }
-        g.finish();
     }
-
-    // (b) Full Table-2 grid through the sweep engine, recording what it
-    // actually did: jobs used, serial vs parallel wall-clock (best of
-    // N), wall-clock and cache traffic per shard, and the cold/warm
-    // hit/miss counts of the result cache. On a single-CPU host
-    // `jobs == 1` *is* the serial path, so no parallel run is staged
-    // and no fictitious "speedup" is recorded.
-    let spec = SweepSpec::table2();
-    let canonical = |s: &SweepSummary| -> Vec<(String, String)> {
-        s.rows
-            .iter()
-            .map(|r| (r.cell.id(), coupling::sweep::codec::stats_to_json(&r.stats)))
-            .collect()
+    // The cost of observation, next to the untraced case the gate
+    // protects (tracing off must stay free).
+    let matrix = cases.iter().find(|c| c.id == "simcore/Matrix/Coupled");
+    let profiled = Case {
+        id: "simcore/Matrix/Coupled/profiled".to_string(),
+        profiled: true,
+        ..matrix.expect("Matrix/Coupled case").clone()
     };
-    let time_sweep = |opts: &SweepOptions| {
-        let mut best = Duration::MAX;
-        let mut result = None;
-        for _ in 0..sweep_reps {
+    cases.push(profiled);
+    cases
+}
+
+fn main() {
+    let cases = cases();
+    // CI smoke mode: PC_BENCH_QUICK set to anything but "" or "0".
+    let quick = std::env::var_os("PC_BENCH_QUICK").is_some_and(|v| !v.is_empty() && v != "0");
+    let rounds = if quick { QUICK_ROUNDS } else { ROUNDS };
+    let mut times: Vec<Vec<u64>> = vec![Vec::with_capacity(rounds); cases.len()];
+    for _ in 0..rounds {
+        for (case, t) in cases.iter().zip(&mut times) {
             let start = Instant::now();
-            let r = run_sweep(&spec, opts).expect("table2 sweep");
-            best = best.min(start.elapsed());
-            result = Some(r);
+            black_box(case.run());
+            t.push(start.elapsed().as_nanos() as u64);
         }
-        (best, result.expect("at least one sweep ran"))
-    };
-    let jobs = default_jobs();
-    let (serial_time, serial_run) = time_sweep(&SweepOptions {
-        jobs: 1,
-        ..SweepOptions::default()
-    });
-    let cells = serial_run.total_cells;
-    let parallel_part = if jobs <= 1 {
-        eprintln!("table2 sweep: serial {serial_time:.2?} (single-CPU host, no parallel run)");
-        String::new()
-    } else {
-        let (parallel_time, parallel_run) = time_sweep(&SweepOptions {
-            jobs,
-            ..SweepOptions::default()
-        });
-        assert_eq!(
-            canonical(&serial_run),
-            canonical(&parallel_run),
-            "parallel sweep must be bit-identical to serial"
-        );
-        let speedup = serial_time.as_secs_f64() / parallel_time.as_secs_f64();
-        eprintln!(
-            "table2 sweep: serial {serial_time:.2?}, parallel {parallel_time:.2?} \
-             ({jobs} jobs) -> {speedup:.2}x, rows bit-identical"
-        );
-        format!(
-            "    \"parallel_ms\": {:.1},\n    \"speedup\": {:.2},\n    \
-             \"bit_identical\": true,\n",
-            parallel_time.as_secs_f64() * 1e3,
-            speedup,
-        )
-    };
-    // Sharded cold pass into a fresh cache, then a warm full pass over
-    // it: the recorded numbers are the determinism gate's ground truth.
-    let cache_dir = std::env::temp_dir().join(format!("pc-bench-sweep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let mut shard_lines = Vec::new();
-    for k in 1..=2usize {
-        let start = Instant::now();
-        let run = run_sweep(
-            &spec,
-            &SweepOptions {
-                jobs,
-                cache_dir: Some(cache_dir.clone()),
-                shard: Some((k, 2)),
-                ..SweepOptions::default()
-            },
-        )
-        .expect("sharded sweep");
-        shard_lines.push(format!(
-            "      {{\"shard\": \"{k}/2\", \"wall_ms\": {:.1}, \"hits\": {}, \"misses\": {}}}",
-            start.elapsed().as_secs_f64() * 1e3,
-            run.hits,
-            run.misses,
-        ));
     }
-    let cold: (usize, usize) = (0, cells); // the shards above ran cold
-    let warm_run = run_sweep(
-        &spec,
-        &SweepOptions {
-            jobs,
-            cache_dir: Some(cache_dir.clone()),
-            ..SweepOptions::default()
-        },
-    )
-    .expect("warm sweep");
-    assert_eq!(
-        warm_run.misses, 0,
-        "warm rerun over the shard-filled cache must be 100% hits"
-    );
-    assert_eq!(
-        canonical(&serial_run),
-        canonical(&warm_run),
-        "cached rows must be bit-identical to fresh serial rows"
-    );
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    eprintln!(
-        "table2 sweep: warm pass {} hits / {} misses over {} cells",
-        warm_run.hits, warm_run.misses, cells
-    );
-    let sweep_json = format!(
-        "{{\n    \"jobs\": {jobs},\n    \"cells\": {cells},\n    \
-         \"serial_ms\": {:.1},\n{parallel_part}    \"shards\": [\n{}\n    ],\n    \
-         \"cold\": {{\"hits\": {}, \"misses\": {}}},\n    \
-         \"warm\": {{\"hits\": {}, \"misses\": {}}}\n  }}",
-        serial_time.as_secs_f64() * 1e3,
-        shard_lines.join(",\n"),
-        cold.0,
-        cold.1,
-        warm_run.hits,
-        warm_run.misses,
-    );
 
-    // (c) Machine-readable baseline.
-    let mut cases = String::new();
-    for r in c.results() {
-        let (cycles, engine) = cycles_per_case
-            .iter()
-            .find(|(id, _, _)| *id == r.id)
-            .map(|&(_, c, e)| (c, e))
-            .unwrap_or((0, "decoded"));
-        let mean_ns = r.mean.as_nanos();
-        let cps = if mean_ns == 0 {
-            0.0
-        } else {
-            cycles as f64 * 1e9 / mean_ns as f64
-        };
-        if !cases.is_empty() {
-            cases.push_str(",\n");
-        }
-        cases.push_str(&format!(
-            "    {{\"id\": \"{}\", \"engine\": \"{engine}\", \"mean_ns\": {}, \
-             \"iterations\": {}, \"cycles_per_run\": {}, \"sim_cycles_per_sec\": {:.0}}}",
-            r.id, mean_ns, r.iterations, cycles, cps
+    let mut lines = Vec::new();
+    for (case, t) in cases.iter().zip(&mut times) {
+        t.sort_unstable();
+        let (min_ns, median_ns) = (t[0], t[rounds / 2]);
+        let mean_ns = t.iter().sum::<u64>() / rounds as u64;
+        let cps = case.cycles as f64 * 1e9 / min_ns.max(1) as f64;
+        eprintln!(
+            "{:<34} min {:>10.3} ms  median {:>10.3} ms  mean {:>10.3} ms  {cps:>12.0} cycles/s",
+            case.id,
+            min_ns as f64 / 1e6,
+            median_ns as f64 / 1e6,
+            mean_ns as f64 / 1e6,
+        );
+        lines.push(format!(
+            "    {{\"id\": \"{}\", \"engine\": \"{}\", \"cycles_per_run\": {}, \
+             \"rounds\": {rounds}, \"min_ns\": {min_ns}, \"median_ns\": {median_ns}, \
+             \"mean_ns\": {mean_ns}, \"sim_cycles_per_sec\": {cps:.0}}}",
+            case.id,
+            case.engine.name(),
+            case.cycles,
         ));
     }
     let json = format!(
-        "{{\n  \"schema\": \"simcore-baseline-v4\",\n  \"host_cpus\": {},\n  \
-         \"cases\": [\n{}\n  ],\n  \"table2_sweep\": {}\n}}\n",
+        "{{\n  \"schema\": \"simcore-baseline-v5\",\n  \"host_cpus\": {},\n  \
+         \"cases\": [\n{}\n  ]\n}}\n",
         default_jobs(),
-        cases,
-        sweep_json,
+        lines.join(",\n"),
     );
     std::fs::write(BASELINE_PATH, &json).expect("write BENCH_simcore.json");
     eprintln!("wrote {BASELINE_PATH}");
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

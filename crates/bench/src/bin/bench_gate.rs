@@ -2,7 +2,8 @@
 //!
 //! Compares two `BENCH_simcore.json` documents (the committed baseline
 //! and a freshly measured one) and exits non-zero if any shared case's
-//! `sim_cycles_per_sec` dropped by more than the limit, or if a case
+//! `sim_cycles_per_sec` — simulated cycles per second of the case's
+//! fastest timing round — dropped by more than the limit, or if a case
 //! fails an absolute throughput floor:
 //!
 //! ```sh
@@ -10,7 +11,7 @@
 //! PC_BENCH_QUICK=1 cargo bench -p pc-bench --bench simcore
 //! cargo run -p pc-bench --bin bench_gate -- \
 //!     --baseline /tmp/baseline.json --current BENCH_simcore.json \
-//!     --max-regress-pct 25 --min-cps /Coupled=150000
+//!     --max-regress-pct 25 --min-cps /Coupled=300000 --min-cps /STS=1000000
 //! ```
 //!
 //! `--min-cps PATTERN=N` (repeatable) requires every current case whose

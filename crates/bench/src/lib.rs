@@ -1,7 +1,7 @@
 //! # pc-bench — the simulator throughput bench and its perf gate
 //!
-//! One Criterion bench, `simcore`, times the simulator hot loop for every
-//! benchmark × machine mode plus the Table-2 sweep, and writes
+//! One bench, `simcore`, times the simulator hot loop for every
+//! benchmark × machine mode in interleaved rounds and writes
 //! `BENCH_simcore.json`; the `bench_gate` binary compares a fresh run
 //! against that baseline. The paper's tables and figures are printed by
 //! `pcsim tables <key>` and `examples/paper_tables.rs`, not by benches:
@@ -12,33 +12,16 @@
 
 use coupling::sweep::codec::{parse_json, Json};
 
-/// Criterion sample count used by all benches (whole-program simulations
-/// are long; statistical precision beyond ~10 samples buys nothing).
-pub const SAMPLES: usize = 10;
-
-/// True when `PC_BENCH_QUICK` is set (CI smoke mode): benches shrink
-/// their sample counts and measurement budgets so the whole target runs
-/// in seconds instead of minutes.
-pub fn quick_mode() -> bool {
-    std::env::var_os("PC_BENCH_QUICK").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 /// One case of a `BENCH_simcore.json` baseline: the identifier plus the
 /// throughput number the perf gate compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineCase {
     /// `simcore/<Bench>/<Mode>` identifier.
     pub id: String,
-    /// Issue engine that produced the case (`decoded` / `scan`; older
-    /// baselines may also name the retired `event` engine). Schema-v3
-    /// documents predate the field; they parse as `decoded` — in v3 the
-    /// default engine was the only one measured.
+    /// Issue engine that produced the case (`decoded` / `scan`).
     pub engine: String,
-    /// Mean wall time per full pipeline run, nanoseconds.
-    pub mean_ns: u64,
-    /// Simulated machine cycles per run.
-    pub cycles_per_run: u64,
-    /// The gated metric: simulated cycles per wall-clock second.
+    /// The gated metric: simulated cycles per wall-clock second of the
+    /// case's fastest round.
     pub sim_cycles_per_sec: f64,
 }
 
@@ -77,12 +60,10 @@ pub fn parse_baseline(json: &str) -> Result<Vec<BaselineCase>, String> {
             };
             Ok(BaselineCase {
                 sim_cycles_per_sec: num("sim_cycles_per_sec")?,
-                mean_ns: num("mean_ns")? as u64,
-                cycles_per_run: num("cycles_per_run")? as u64,
                 engine: case
                     .get("engine")
                     .and_then(Json::as_str)
-                    .unwrap_or("decoded")
+                    .ok_or_else(|| format!("{id}: missing engine"))?
                     .to_string(),
                 id,
             })
@@ -152,27 +133,13 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "schema": "simcore-baseline-v4",
+  "schema": "simcore-baseline-v5",
   "host_cpus": 4,
   "cases": [
-    {"id": "simcore/Matrix/STS", "engine": "decoded", "mean_ns": 1609547, "iterations": 1400, "cycles_per_run": 1598, "sim_cycles_per_sec": 992826},
-    {"id": "simcore/Matrix/Coupled", "engine": "decoded", "mean_ns": 4714083, "iterations": 380, "cycles_per_run": 580, "sim_cycles_per_sec": 123036},
-    {"id": "simcore/Matrix/Coupled/scan", "engine": "scan", "mean_ns": 9428166, "iterations": 190, "cycles_per_run": 580, "sim_cycles_per_sec": 61518}
-  ],
-  "table2_sweep": {
-    "jobs": 4,
-    "cells": 18,
-    "serial_ms": 470.5,
-    "parallel_ms": 232.1,
-    "speedup": 2.03,
-    "bit_identical": true,
-    "shards": [
-      {"shard": "1/2", "wall_ms": 120.3, "hits": 0, "misses": 9},
-      {"shard": "2/2", "wall_ms": 118.9, "hits": 0, "misses": 9}
-    ],
-    "cold": {"hits": 0, "misses": 18},
-    "warm": {"hits": 18, "misses": 0}
-  }
+    {"id": "simcore/Matrix/STS", "engine": "decoded", "cycles_per_run": 1598, "rounds": 41, "min_ns": 1609547, "median_ns": 1702311, "mean_ns": 1750120, "sim_cycles_per_sec": 992826},
+    {"id": "simcore/Matrix/Coupled", "engine": "decoded", "cycles_per_run": 580, "rounds": 41, "min_ns": 4714083, "median_ns": 4820577, "mean_ns": 4901234, "sim_cycles_per_sec": 123036},
+    {"id": "simcore/Matrix/Coupled/scan", "engine": "scan", "cycles_per_run": 580, "rounds": 41, "min_ns": 9428166, "median_ns": 9611002, "mean_ns": 9700456, "sim_cycles_per_sec": 61518}
+  ]
 }"#;
 
     #[test]
@@ -181,20 +148,9 @@ mod tests {
         assert_eq!(cases.len(), 3);
         assert_eq!(cases[0].id, "simcore/Matrix/STS");
         assert_eq!(cases[0].engine, "decoded");
-        assert_eq!(cases[0].mean_ns, 1609547);
-        assert_eq!(cases[0].cycles_per_run, 1598);
         assert_eq!(cases[0].sim_cycles_per_sec, 992826.0);
         assert_eq!(cases[1].id, "simcore/Matrix/Coupled");
         assert_eq!(cases[2].engine, "scan");
-    }
-
-    #[test]
-    fn v3_documents_without_engine_default_to_decoded() {
-        let doc = SAMPLE.replace("\"engine\": \"decoded\", ", "");
-        let cases = parse_baseline(&doc).unwrap();
-        assert_eq!(cases[0].engine, "decoded");
-        assert_eq!(cases[1].engine, "decoded");
-        assert_eq!(cases[2].engine, "scan", "explicit field still wins");
     }
 
     #[test]
@@ -202,6 +158,8 @@ mod tests {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline(r#"{"cases": []}"#).is_err());
         assert!(parse_baseline(r#"{"cases": [{"mean_ns": 1}]}"#).is_err());
+        let no_engine = SAMPLE.replace("\"engine\": \"decoded\", ", "");
+        assert!(parse_baseline(&no_engine).unwrap_err().contains("engine"));
     }
 
     #[test]
@@ -235,8 +193,6 @@ mod tests {
         cases.push(BaselineCase {
             id: "simcore/Matrix/Coupled/profiled".to_string(),
             engine: "decoded".to_string(),
-            mean_ns: 1,
-            cycles_per_run: 1,
             sim_cycles_per_sec: 1.0, // far below any floor
         });
         // `/Coupled` must not catch the `/profiled` derived id.

@@ -328,6 +328,21 @@ fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .unwrap_or("");
+    const KEYS: [&str; 9] = [
+        "table2",
+        "table3",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "ablations",
+        "registers",
+        "scaling",
+    ];
+    if !which.is_empty() && !KEYS.contains(&which) {
+        eprintln!("pcsim: unknown table {which:?}; keys: {}", KEYS.join(", "));
+        usage();
+    }
     let jobs = match flag_value(args, "--jobs") {
         Some(s) => s.parse::<usize>()?.max(1),
         None => coupling::default_jobs(),

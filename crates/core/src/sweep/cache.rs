@@ -229,7 +229,7 @@ impl ResultCache {
         if v.get("key")?.as_str()? != key {
             return None;
         }
-        let peak_registers = v.get("peak_registers")?.as_u64()? as u32;
+        let peak_registers = v.get("peak_registers")?.as_u32()?;
         let stats = stats_from_value(v.get("stats")?).ok()?;
         Some(CachedResult {
             stats,
@@ -378,6 +378,15 @@ mod tests {
         cache
             .write_raw(&key, b"{ definitely not a valid entry")
             .unwrap();
+        assert!(cache.lookup(&key).is_none());
+        cache.store(&key, "matrix/seq", &result).unwrap();
+        assert_eq!(cache.lookup(&key), Some(result.clone()));
+        // A register count past u32::MAX is a miss, not a hit with the
+        // count truncated to 1.
+        let good = std::fs::read_to_string(cache.entry_path(&key)).unwrap();
+        let wide = good.replace("\"peak_registers\":7,", "\"peak_registers\":4294967297,");
+        assert_ne!(wide, good);
+        cache.write_raw(&key, wide.as_bytes()).unwrap();
         assert!(cache.lookup(&key).is_none());
         cache.store(&key, "matrix/seq", &result).unwrap();
         assert_eq!(cache.lookup(&key), Some(result));

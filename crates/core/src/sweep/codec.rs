@@ -58,6 +58,12 @@ impl Json {
         }
     }
 
+    /// The value as `u32`, if it is an integer number that fits: a
+    /// wider value is malformed input, not something to truncate.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|n| u32::try_from(n).ok())
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -83,14 +89,20 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The writers'
+/// deepest document nests about five levels; the limit keeps a hostile
+/// document from recursing the parser off the end of a worker's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing content is an error).
 ///
 /// # Errors
-/// A description of the first syntax error with its byte offset.
+/// A description of the first syntax error with its byte offset, or of
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -104,12 +116,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -181,18 +197,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary of the
+                // `&str` input and validating it costs only its length.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -201,7 +220,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -214,7 +233,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -233,7 +252,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -472,8 +491,8 @@ pub fn stats_from_value(v: &Json) -> Result<RunStats, String> {
         .map(|p| {
             let t = p.as_arr().filter(|a| a.len() == 3).ok_or("bad probe")?;
             Ok(ProbeRecord {
-                thread: t[0].as_u64().ok_or("bad probe thread")? as u32,
-                id: t[1].as_u64().ok_or("bad probe id")? as u32,
+                thread: t[0].as_u32().ok_or("bad probe thread")?,
+                id: t[1].as_u32().ok_or("bad probe id")?,
                 cycle: t[2].as_u64().ok_or("bad probe cycle")?,
             })
         })
@@ -656,6 +675,19 @@ mod tests {
         assert!(stats_from_json("{}").is_err());
         assert!(stats_from_json("not json").is_err());
         assert!(stats_from_json(&json.replace("\"cycles\"", "\"cyc1es\"")).is_err());
+        // A probe thread past u32::MAX is malformed, not truncated to 1.
+        let wide = json.replace("\"probes\":[[1,", "\"probes\":[[4294967297,");
+        assert_ne!(wide, json);
+        assert!(stats_from_json(&wide).is_err());
+        // Hostile nesting is an error, not a stack overflow.
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            assert!(stats_from_json(&deep).is_err());
+            assert!(crate::sweep::Manifest::from_json(&deep).is_err());
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(parse_json(&past_limit).unwrap_err().contains("nesting"));
     }
 
     #[test]
@@ -668,9 +700,11 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parser() {
-        let nasty = "a\"b\\c\nd\te\u{1}f";
+        let nasty = "a\"b\\c\nd\te\u{1}f é😀漢字\\";
         let doc = format!("{{\"k\":\"{}\"}}", escape_json(nasty));
         let v = parse_json(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(nasty));
+        let v = parse_json(r#""caf\u00e9 😀""#).unwrap();
+        assert_eq!(v.as_str(), Some("café 😀"));
     }
 }

@@ -429,7 +429,10 @@ impl SweepRow {
                 seed: need("seed")?,
             },
             stats: stats_from_value(v.get("stats").ok_or("missing stats")?)?,
-            peak_registers: need("peak_registers")? as u32,
+            peak_registers: v
+                .get("peak_registers")
+                .and_then(Json::as_u32)
+                .ok_or("missing or out-of-range \"peak_registers\"")?,
             cached: matches!(v.get("cached"), Some(Json::Bool(true))),
             wall_ns: need("wall_ns")?,
         })

@@ -292,6 +292,12 @@ fn jsonl_rows_round_trip_through_the_codec() {
     assert_eq!(parsed.wall_ns, row.wall_ns);
     assert!(SweepRow::from_jsonl("{\"schema\":1}").is_err());
     assert!(SweepRow::from_jsonl("torn{").is_err());
+    // A register count past u32::MAX is malformed, not truncated.
+    let line = row.to_jsonl();
+    let field = format!("\"peak_registers\":{},", row.peak_registers);
+    let wide = line.replace(&field, "\"peak_registers\":4294967297,");
+    assert_ne!(wide, line);
+    assert!(SweepRow::from_jsonl(&wide).is_err());
 }
 
 #[test]
