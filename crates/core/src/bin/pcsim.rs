@@ -17,10 +17,11 @@
 //!              [--jobs N]                   # fan the sweep over N host threads
 //! pcsim sweep [--benches a,b] [--modes m,..] [--interconnects i,..]
 //!             [--memories mm,..] [--mixes base,2x3,..] [--full] [--seed N]
-//!             [--jobs N] [--out FILE] [--manifest FILE] [--shard k/n]
+//!             [--jobs N] [--out FILE] [--shard k/n]
 //!             [--cache-dir DIR] [--no-cache]
 //!             [--telemetry] [--progress] [--metrics-out FILE]
-//!             # batch engine: cross-product runs, JSONL rows, resumable
+//!             # batch engine: cross-product runs, JSONL rows; rerunning
+//!             # with the same --out resumes from the rows it holds
 //! pcsim metrics <matrix|fft|lud|model> [--mode M] [--interconnect I]
 //!               [--memory MM] [--seed N] [--lockstep] [--priority] [--engine E]
 //!               [--json|--prometheus] [--check-overhead PCT [--iters N]]
@@ -47,7 +48,7 @@ fn usage() -> ! {
   pcsim exec <source.pc> [--trace N]
   pcsim tables [table2|table3|fig5|fig6|fig7|fig8|ablations|registers|scaling] [--jobs N]
   pcsim sweep [--benches a,b] [--modes m,..] [--interconnects i,..] [--memories mm,..] [--mixes base,2x3]
-              [--full] [--seed N] [--jobs N] [--out FILE] [--manifest FILE] [--shard k/n] [--cache-dir DIR] [--no-cache]
+              [--full] [--seed N] [--jobs N] [--out FILE] [--shard k/n] [--cache-dir DIR] [--no-cache]
               [--telemetry] [--progress] [--metrics-out FILE]
   pcsim metrics <matrix|fft|lud|model> [--mode M] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority]
                 [--engine E] [--json|--prometheus] [--check-overhead PCT [--iters N]]"
@@ -468,6 +469,14 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use coupling::sweep::{run_sweep, MemKind, Mix, SweepOptions, SweepSpec};
+    const FLAGS: &str = "--benches --modes --interconnects --memories --mixes --full --seed \
+                         --jobs --out --shard --cache-dir --no-cache --telemetry --progress \
+                         --metrics-out";
+    let known = |a: &String| FLAGS.split_whitespace().any(|f| f == a);
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        eprintln!("pcsim: unknown sweep flag {flag}");
+        usage();
+    }
 
     let mut spec = if args.iter().any(|a| a == "--full") {
         SweepSpec::full()
@@ -532,7 +541,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         cache_dir,
         out: flag_value(args, "--out").map(Into::into),
         shard,
-        manifest: flag_value(args, "--manifest").map(Into::into),
         telemetry: args.iter().any(|a| a == "--telemetry"),
         progress: args.iter().any(|a| a == "--progress"),
         metrics_out: flag_value(args, "--metrics-out").map(Into::into),

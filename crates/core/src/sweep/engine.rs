@@ -1,7 +1,9 @@
 //! The sweep batch engine: enumerate a configuration cross-product,
 //! fan the cells over the work-stealing pool, serve repeats from the
-//! content-addressed cache, stream results as JSONL, and keep a
-//! manifest that makes sharded runs resumable.
+//! content-addressed cache, and stream results as JSONL. The JSONL is
+//! the record of finished cells that a killed run resumes from; a
+//! write-once manifest next to it guards it against a different spec
+//! or shard.
 //!
 //! The paper's tables are points sampled from the full grid
 //! `benchmarks × modes × interconnect schemes × memory models × FU
@@ -9,7 +11,7 @@
 //! [`run_sweep`] executes one for `pcsim sweep` and perfbench. The
 //! experiment harness runs its point lists through the same two shared
 //! pieces — the work-stealing pool and the runner's compile memo — but
-//! without the cache, JSONL stream or manifest.
+//! without the cache or the JSONL stream.
 //!
 //! Determinism contract: the rows of a sweep (and the JSONL lines,
 //! after zeroing the per-row `wall_ns` and `cached` fields) are a pure
@@ -37,7 +39,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Version of the JSONL row / manifest schema.
+/// Version of the JSONL row and manifest schema. Every row carries it,
+/// so it moves only with the row format; manifests that still list
+/// `total`/`done` parse under it, those fields ignored.
 pub const SWEEP_SCHEMA_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------
@@ -183,19 +187,14 @@ impl SweepSpec {
     /// are what sharding partitions.
     ///
     /// # Errors
-    /// An unknown benchmark name, or an axis left empty.
+    /// An unknown benchmark name, an axis left empty, or a value repeated
+    /// on an axis (each cell id must name one row).
     pub fn cells(&self) -> Result<Vec<SweepCell>, String> {
-        for (axis, empty) in [
-            ("benches", self.benches.is_empty()),
-            ("modes", self.modes.is_empty()),
-            ("interconnects", self.interconnects.is_empty()),
-            ("memories", self.memories.is_empty()),
-            ("mixes", self.mixes.is_empty()),
-        ] {
-            if empty {
-                return Err(format!("sweep spec has an empty {axis} axis"));
-            }
-        }
+        check_axis("benches", &self.benches, |b| b.clone())?;
+        check_axis("modes", &self.modes, |m| m.label().into())?;
+        check_axis("interconnects", &self.interconnects, |i| i.label().into())?;
+        check_axis("memories", &self.memories, |m| m.key().into())?;
+        check_axis("mixes", &self.mixes, |m| m.key())?;
         let suite = benchmarks::all();
         let mut cells = Vec::new();
         for name in &self.benches {
@@ -227,7 +226,7 @@ impl SweepSpec {
         Ok(cells)
     }
 
-    /// Content fingerprint of the spec (grid axes + seed), used by the
+    /// Content fingerprint of the spec (grid axes + seed), kept in the
     /// manifest to refuse resuming under a different spec.
     pub fn fingerprint(&self) -> String {
         let mut text = format!("pc-sweep-spec-v{SWEEP_SCHEMA_VERSION}\n");
@@ -254,6 +253,20 @@ impl SweepSpec {
         }
         let _ = std::fmt::Write::write_fmt(&mut text, format_args!("\nseed={}\n", self.seed));
         super::cache::sha256_hex(text.as_bytes())
+    }
+}
+
+/// Rejects an empty axis, or a value repeated on one.
+fn check_axis<T: PartialEq>(axis: &str, values: &[T], key: fn(&T) -> String) -> Result<(), String> {
+    if values.is_empty() {
+        return Err(format!("sweep spec has an empty {axis} axis"));
+    }
+    match (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
+        Some(i) => Err(format!(
+            "sweep spec repeats {:?} on the {axis} axis",
+            key(&values[i])
+        )),
+        None => Ok(()),
     }
 }
 
@@ -321,15 +334,13 @@ pub struct SweepOptions {
     /// Content-addressed result cache directory (`None` = no cache).
     pub cache_dir: Option<PathBuf>,
     /// JSONL sink: one row per completed cell, flushed in cell order.
+    /// Rows already in the file are not rerun (resume). The spec/shard
+    /// guard lives next to it in `<out>.manifest.json`, written once
+    /// when absent and checked when present.
     pub out: Option<PathBuf>,
     /// Shard selector `(k, n)`, 1-based: run only cells with
     /// `index % n == k - 1`.
     pub shard: Option<(usize, usize)>,
-    /// Manifest path. Written alongside the JSONL after every flushed
-    /// row; pre-existing manifest + JSONL are loaded and their finished
-    /// cells skipped (resume). Defaults to `<out>.manifest.json` when
-    /// `out` is set.
-    pub manifest: Option<PathBuf>,
     /// Collect host-side telemetry (pool, cache, and reorder-buffer
     /// metrics; see [`SweepTelemetry`]). Implied by `progress` and
     /// `metrics_out`. Never perturbs the rows — the determinism
@@ -442,9 +453,8 @@ impl SweepRow {
 /// What a sweep did.
 #[derive(Debug, Clone)]
 pub struct SweepSummary {
-    /// Newly produced rows, in cell order (cells already done in a
-    /// resumed manifest are not re-produced and appear only in the
-    /// JSONL/manifest from the earlier run).
+    /// Newly produced rows, in cell order (cells whose rows the JSONL
+    /// already held are not re-produced and appear only in that file).
     pub rows: Vec<SweepRow>,
     /// Cells in this shard's scope.
     pub total_cells: usize,
@@ -527,7 +537,8 @@ pub enum SweepError {
     },
     /// Manifest/JSONL handling failed.
     Io(std::io::Error),
-    /// A resume manifest disagrees with the requested spec/shard.
+    /// A resume manifest is unreadable or disagrees with the requested
+    /// spec/shard.
     ManifestMismatch(String),
 }
 
@@ -554,43 +565,32 @@ impl From<std::io::Error> for SweepError {
 // Manifest
 // ---------------------------------------------------------------------
 
-/// The on-disk record that makes a sweep resumable: which cells of
-/// which spec/shard have had their JSONL rows durably flushed.
+/// The spec/shard guard next to a sweep's JSONL: which spec and shard
+/// the rows were produced for. Written once, before the first row; the
+/// rows themselves are the record of finished cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// [`SweepSpec::fingerprint`] of the producing spec.
     pub spec: String,
     /// Shard selector, or `None` for the whole grid.
     pub shard: Option<(usize, usize)>,
-    /// Cells in this shard's scope.
-    pub total: usize,
-    /// Ids of cells whose rows are flushed.
-    pub done: BTreeSet<String>,
 }
 
 impl Manifest {
-    /// Serializes the manifest as pretty-stable JSON.
+    /// Serializes the manifest as one line of JSON.
     pub fn to_json(&self) -> String {
         let shard = match self.shard {
             Some((k, n)) => format!("\"{k}/{n}\""),
             None => "null".to_string(),
         };
-        let done: Vec<String> = self
-            .done
-            .iter()
-            .map(|id| format!("\"{}\"", escape_json(id)))
-            .collect();
         format!(
-            "{{\"schema\":{SWEEP_SCHEMA_VERSION},\"spec\":\"{}\",\"shard\":{},\
-             \"total\":{},\"done\":[{}]}}\n",
-            self.spec,
-            shard,
-            self.total,
-            done.join(","),
+            "{{\"schema\":{SWEEP_SCHEMA_VERSION},\"spec\":\"{}\",\"shard\":{shard}}}\n",
+            escape_json(&self.spec),
         )
     }
 
-    /// Parses [`Manifest::to_json`] output.
+    /// Parses [`Manifest::to_json`] output. Fields of older manifests
+    /// (`total`, `done`) are ignored.
     ///
     /// # Errors
     /// A description of the first malformed field.
@@ -611,51 +611,66 @@ impl Manifest {
             }
             _ => None,
         };
-        let total = v
-            .get("total")
-            .and_then(Json::as_u64)
-            .ok_or("missing total")? as usize;
-        let done = v
-            .get("done")
-            .and_then(Json::as_arr)
-            .ok_or("missing done")?
-            .iter()
-            .map(|x| {
-                x.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string done id".to_string())
-            })
-            .collect::<Result<BTreeSet<_>, _>>()?;
-        Ok(Manifest {
-            spec,
-            shard,
-            total,
-            done,
-        })
+        Ok(Manifest { spec, shard })
     }
 
-    fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+    /// Checks the manifest at `path` against `self`, or writes `self`
+    /// there (atomically) when there is none. An existing manifest is
+    /// never rewritten.
+    fn claim(&self, path: &Path) -> Result<(), SweepError> {
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let tmp = path.with_extension("tmp");
+                std::fs::write(&tmp, self.to_json())?;
+                return Ok(std::fs::rename(&tmp, path)?);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let found = std::str::from_utf8(&bytes)
+            .map_err(|e| e.to_string())
+            .and_then(Manifest::from_json)
+            .map_err(|e| {
+                SweepError::ManifestMismatch(format!("manifest {}: {e}", path.display()))
+            })?;
+        if found.spec != self.spec {
+            let prefix = |s: &str| s.chars().take(12).collect::<String>();
+            return Err(SweepError::ManifestMismatch(format!(
+                "manifest {} was produced by a different sweep spec \
+                 (spec {}.. vs {}..); use a fresh --out",
+                path.display(),
+                prefix(&found.spec),
+                prefix(&self.spec),
+            )));
+        }
+        if found.shard != self.shard {
+            return Err(SweepError::ManifestMismatch(format!(
+                "manifest {} covers shard {:?}, this run requests {:?}",
+                path.display(),
+                found.shard,
+                self.shard,
+            )));
+        }
+        Ok(())
     }
 }
 
 /// Scans an existing JSONL file for the ids of rows already flushed —
-/// the kill-safe complement to the manifest (a crash between the row
-/// flush and the manifest rewrite must not duplicate the row on
-/// resume). Unparseable lines are ignored: a torn final line simply
-/// gets recomputed.
-fn scan_jsonl_done(path: &Path) -> BTreeSet<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeSet::new();
+/// the sweep's resume record — and whether it ends in a torn line with
+/// no newline. Lines that are not UTF-8 or do not parse are skipped: a
+/// torn final line simply gets recomputed.
+fn scan_jsonl(path: &Path) -> (BTreeSet<String>, bool) {
+    let Ok(bytes) = std::fs::read(path) else {
+        return Default::default();
     };
-    text.lines()
+    let done = bytes
+        .split(|&b| b == b'\n')
         .filter_map(|line| {
-            let v = parse_json(line).ok()?;
+            let v = parse_json(std::str::from_utf8(line).ok()?).ok()?;
             Some(v.get("cell")?.as_str()?.to_string())
         })
-        .collect()
+        .collect();
+    (done, bytes.last().is_some_and(|&b| b != b'\n'))
 }
 
 // ---------------------------------------------------------------------
@@ -670,10 +685,12 @@ fn scan_jsonl_done(path: &Path) -> BTreeSet<String> {
 /// source, schedule mode and [compile
 /// target](MachineConfig::compile_target) reuse one compiled image.
 /// Completed rows stream to the JSONL sink **in cell order**
-/// (a reorder buffer holds out-of-order completions), and after every
-/// flushed row the manifest is atomically rewritten — killing the
-/// process at any point loses at most the rows still in flight, and a
-/// resume recomputes exactly the missing cells.
+/// (a reorder buffer holds out-of-order completions), each flushed as
+/// it lands. Before the first row, `<out>.manifest.json` is written
+/// once if absent, or checked against the spec and shard if present.
+/// Killing the process at any point loses at most the rows still in
+/// flight, and a resume, reading the JSONL alone, recomputes exactly
+/// the missing cells.
 ///
 /// # Errors
 /// Deterministically reports the lowest-indexed failing cell
@@ -696,40 +713,26 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
                 .collect()
         }
     };
-    let manifest_path: Option<PathBuf> = opts.manifest.clone().or_else(|| {
-        opts.out
-            .as_ref()
-            .map(|p| PathBuf::from(format!("{}.manifest.json", p.display())))
-    });
-    // Resume state: manifest ∪ rows already present in the JSONL.
-    let fingerprint = spec.fingerprint();
-    let mut done: BTreeSet<String> = BTreeSet::new();
-    if let Some(mp) = &manifest_path {
-        if let Ok(text) = std::fs::read_to_string(mp) {
-            let m = Manifest::from_json(&text).map_err(SweepError::ManifestMismatch)?;
-            if m.spec != fingerprint {
-                return Err(SweepError::ManifestMismatch(format!(
-                    "manifest {} was produced by a different sweep spec \
-                     (spec {}.. vs {}..); use a fresh --out/--manifest",
-                    mp.display(),
-                    &m.spec[..12.min(m.spec.len())],
-                    &fingerprint[..12],
-                )));
+    // Resume state: the rows already in the JSONL, once its manifest
+    // vouches for the spec and shard.
+    let (done, torn) = match &opts.out {
+        Some(out) => {
+            if let Some(parent) = out.parent() {
+                if !parent.as_os_str().is_empty() {
+                    std::fs::create_dir_all(parent)?;
+                }
             }
-            if m.shard != opts.shard {
-                return Err(SweepError::ManifestMismatch(format!(
-                    "manifest {} covers shard {:?}, this run requests {:?}",
-                    mp.display(),
-                    m.shard,
-                    opts.shard,
-                )));
+            let mut manifest_path = out.as_os_str().to_owned();
+            manifest_path.push(".manifest.json");
+            Manifest {
+                spec: spec.fingerprint(),
+                shard: opts.shard,
             }
-            done.extend(m.done);
+            .claim(Path::new(&manifest_path))?;
+            scan_jsonl(out)
         }
-    }
-    if let Some(out) = &opts.out {
-        done.extend(scan_jsonl_done(out));
-    }
+        None => Default::default(),
+    };
     let pending: Vec<&SweepCell> = cells.iter().filter(|c| !done.contains(&c.id())).collect();
     let prior_done = cells.len() - pending.len();
 
@@ -747,11 +750,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
 
     let mut sink: Option<std::io::BufWriter<std::fs::File>> = match &opts.out {
         Some(path) => {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
             let mut file = std::fs::File::options()
                 .create(true)
                 .append(true)
@@ -759,26 +757,12 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             // A kill mid-write can leave a torn final line with no
             // newline; terminate it so appended rows don't concatenate
             // onto the garbage (resume scanning skips the torn line).
-            let len = file.metadata()?.len();
-            if len > 0 {
-                use std::io::{Read as _, Seek as _, SeekFrom};
-                let mut probe = std::fs::File::open(path)?;
-                probe.seek(SeekFrom::End(-1))?;
-                let mut last = [0u8; 1];
-                probe.read_exact(&mut last)?;
-                if last[0] != b'\n' {
-                    file.write_all(b"\n")?;
-                }
+            if torn {
+                file.write_all(b"\n")?;
             }
             Some(std::io::BufWriter::new(file))
         }
         None => None,
-    };
-    let mut manifest = Manifest {
-        spec: fingerprint,
-        shard: opts.shard,
-        total: cells.len(),
-        done,
     };
 
     // Fan the pending cells over the pool; the sink-side reorder buffer
@@ -953,8 +937,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
                     return;
                 }
             }
-            // Flush the completed prefix in cell order: JSONL line first
-            // (durable), then the manifest that acknowledges it.
+            // Flush the completed prefix in cell order.
             while io_error.is_none() {
                 let Some(slot) = slots.get_mut(next_flush).and_then(Option::take) else {
                     break;
@@ -966,13 +949,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
                             if let Err(e) = write {
                                 io_error = Some(e);
                                 break;
-                            }
-                            manifest.done.insert(row.cell.id());
-                            if let Some(mp) = &manifest_path {
-                                if let Err(e) = manifest.write_atomic(mp) {
-                                    io_error = Some(e);
-                                    break;
-                                }
                             }
                         }
                         flushed.push(row);
@@ -1059,7 +1035,7 @@ mod tests {
         assert_eq!(
             cells[0].id(),
             "matrix/seq/full/min/base/s0",
-            "id format is part of the manifest contract"
+            "id format is the JSONL resume key"
         );
     }
 
@@ -1117,10 +1093,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SweepError::Spec(_)), "{err}");
-        let mut bad = spec;
+        let mut bad = spec.clone();
         bad.benches = vec!["nonesuch".to_string()];
         let err = run_sweep(&bad, &SweepOptions::default()).unwrap_err();
         assert!(err.to_string().contains("nonesuch"), "{err}");
+        let repeated = SweepSpec {
+            benches: vec!["matrix".into(), "matrix".into()],
+            interconnects: vec![InterconnectScheme::Full, InterconnectScheme::Full],
+            ..spec
+        };
+        let err = run_sweep(&repeated, &SweepOptions::default()).unwrap_err();
+        assert!(matches!(err, SweepError::Spec(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("\"matrix\" on the benches axis"), "{msg}");
     }
 
     #[test]
@@ -1128,8 +1113,6 @@ mod tests {
         let m = Manifest {
             spec: "abc123".to_string(),
             shard: Some((2, 4)),
-            total: 18,
-            done: ["a/b", "c/d"].iter().map(|s| s.to_string()).collect(),
         };
         assert_eq!(Manifest::from_json(&m.to_json()).unwrap(), m);
         let unsharded = Manifest {
@@ -1141,6 +1124,9 @@ mod tests {
             unsharded
         );
         assert!(Manifest::from_json("{}").is_err());
+        // The older format, which also listed `total` and `done`.
+        let old = r#"{"schema":1,"spec":"abc123","shard":"2/4","total":18,"done":["a/b"]}"#;
+        assert_eq!(Manifest::from_json(old).unwrap(), m);
     }
 
     #[test]

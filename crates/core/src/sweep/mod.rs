@@ -21,9 +21,10 @@
 //!   cache and the JSONL streams exactly round-trippable (every field is
 //!   an integer, so no float-formatting hazards exist).
 //! - [`engine`] — [`SweepSpec`]/[`run_sweep`]: grid enumeration, the
-//!   per-run compile memo, JSONL streaming in deterministic cell order,
-//!   and a manifest making sharded runs (`--shard k/n`) resumable after
-//!   a kill.
+//!   per-run compile memo, and JSONL streaming in deterministic cell
+//!   order. The JSONL is what a killed run (sharded with `--shard k/n`
+//!   or not) resumes from; a write-once manifest guards its spec and
+//!   shard.
 //! - [`telemetry`] — [`SweepTelemetry`]: the lock-free host-side
 //!   metrics registry behind `pcsim sweep --progress`, the periodic
 //!   JSONL snapshot emitter, and the `pcsim metrics` report.

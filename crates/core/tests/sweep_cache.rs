@@ -5,7 +5,8 @@
 use coupling::sweep::{cache_key, run_sweep, ResultCache, SweepOptions, SweepSpec};
 use coupling::MachineMode;
 use pc_isa::MachineConfig;
-use std::path::PathBuf;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 /// A fresh scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -37,6 +38,27 @@ fn small_spec() -> SweepSpec {
         modes: vec![MachineMode::Seq, MachineMode::Coupled],
         ..SweepSpec::table2()
     }
+}
+
+/// A manifest in the older format, which also listed `total` and the
+/// `done` cells; resume must accept it and trust only the JSONL.
+fn pre_change_manifest(spec: &SweepSpec, done: &[String]) -> String {
+    let done: Vec<String> = done.iter().map(|id| format!("\"{id}\"")).collect();
+    format!(
+        "{{\"schema\":1,\"spec\":\"{}\",\"shard\":null,\"total\":4,\"done\":[{}]}}\n",
+        spec.fingerprint(),
+        done.join(","),
+    )
+}
+
+/// Cell ids of the rows in a JSONL file, skipping lines that do not
+/// parse as rows.
+fn row_ids(path: &Path) -> Vec<String> {
+    String::from_utf8_lossy(&std::fs::read(path).unwrap())
+        .lines()
+        .filter_map(|l| coupling::sweep::SweepRow::from_jsonl(l).ok())
+        .map(|r| r.cell.id())
+        .collect()
 }
 
 /// The stripped, deterministic portion of a sweep's rows.
@@ -167,21 +189,18 @@ fn resume_after_kill_completes_exactly_the_missing_cells() {
     let lines: Vec<&str> = full_text.lines().collect();
     assert_eq!(lines.len(), 4);
 
-    // Simulate a kill after two rows were flushed but before the
-    // manifest acknowledged the second (the worst-case torn state):
-    // JSONL has 2 complete lines + half of a third, manifest knows 1.
+    // Simulate a kill in the middle of the third row, under an
+    // older-format manifest that acknowledged only the first: the JSONL
+    // has 2 complete lines, a stray non-UTF-8 line, and half of a third.
     let out = scratch.path("rows.jsonl");
     let torn_third = &lines[2][..lines[2].len() / 2];
-    std::fs::write(&out, format!("{}\n{}\n{}", lines[0], lines[1], torn_third)).unwrap();
+    let mut torn = format!("{}\n", lines[0]).into_bytes();
+    torn.extend_from_slice(b"\xff\n");
+    torn.extend_from_slice(format!("{}\n{}", lines[1], torn_third).as_bytes());
+    std::fs::write(&out, torn).unwrap();
     let manifest_path = scratch.path("rows.jsonl.manifest.json");
-    let first_cell = spec.cells().unwrap()[0].id();
-    let manifest = coupling::sweep::Manifest {
-        spec: spec.fingerprint(),
-        shard: None,
-        total: 4,
-        done: [first_cell].into_iter().collect(),
-    };
-    std::fs::write(&manifest_path, manifest.to_json()).unwrap();
+    let manifest = pre_change_manifest(&spec, &[spec.cells().unwrap()[0].id()]);
+    std::fs::write(&manifest_path, &manifest).unwrap();
 
     let resumed = run_sweep(
         &spec,
@@ -191,7 +210,7 @@ fn resume_after_kill_completes_exactly_the_missing_cells() {
         },
     )
     .unwrap();
-    // Cells 0 and 1 were durable (JSONL ∪ manifest); 2 (torn) and 3 run.
+    // Cells 0 and 1 are in the JSONL; 2 (torn) and 3 run.
     assert_eq!(resumed.prior_done, 2);
     assert_eq!(resumed.rows.len(), 2);
     let resumed_ids: Vec<String> = resumed.rows.iter().map(|r| r.cell.id()).collect();
@@ -201,10 +220,13 @@ fn resume_after_kill_completes_exactly_the_missing_cells() {
         "resume must run exactly the missing cells"
     );
 
+    // The manifest is written once and never rewritten.
+    assert_eq!(std::fs::read_to_string(&manifest_path).unwrap(), manifest);
+
     // The final JSONL holds each of the 4 cells exactly once, with rows
-    // identical to the uninterrupted run after dropping the torn line
-    // and timing fields.
-    let text = std::fs::read_to_string(&out).unwrap();
+    // identical to the uninterrupted run after dropping the torn and
+    // stray lines and timing fields.
+    let text = String::from_utf8_lossy(&std::fs::read(&out).unwrap()).into_owned();
     let strip = |s: &str| -> Option<(String, String)> {
         let row = coupling::sweep::SweepRow::from_jsonl(s).ok()?;
         Some((
@@ -232,6 +254,48 @@ fn resume_after_kill_completes_exactly_the_missing_cells() {
 }
 
 #[test]
+fn a_manifest_cannot_vouch_for_a_row_the_jsonl_lacks() {
+    let scratch = Scratch::new("vouch");
+    let spec = small_spec();
+    let cache_dir = Some(scratch.path("cache"));
+    let full_out = scratch.path("full.jsonl");
+    run_sweep(
+        &spec,
+        &SweepOptions {
+            cache_dir: cache_dir.clone(),
+            out: Some(full_out.clone()),
+            ..SweepOptions::default()
+        },
+    )
+    .unwrap();
+    let full_text = std::fs::read_to_string(&full_out).unwrap();
+    let lines: Vec<&str> = full_text.lines().collect();
+
+    // Two rows in the JSONL, but an old-format manifest claiming all 4.
+    let out = scratch.path("rows.jsonl");
+    std::fs::write(&out, format!("{}\n{}\n", lines[0], lines[1])).unwrap();
+    let ids: Vec<String> = spec.cells().unwrap().iter().map(|c| c.id()).collect();
+    std::fs::write(
+        scratch.path("rows.jsonl.manifest.json"),
+        pre_change_manifest(&spec, &ids),
+    )
+    .unwrap();
+    let resumed = run_sweep(
+        &spec,
+        &SweepOptions {
+            cache_dir,
+            out: Some(out.clone()),
+            ..SweepOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(resumed.prior_done, 2);
+    let ran: Vec<String> = resumed.rows.iter().map(|r| r.cell.id()).collect();
+    assert_eq!(ran, ids[2..], "the missing rows must be recomputed");
+    assert_eq!(row_ids(&out), ids, "and appended, each once");
+}
+
+#[test]
 fn resume_under_a_different_spec_is_refused() {
     let scratch = Scratch::new("mismatch");
     let out = scratch.path("rows.jsonl");
@@ -244,19 +308,86 @@ fn resume_under_a_different_spec_is_refused() {
         },
     )
     .unwrap();
-    let other = SweepSpec { seed: 3, ..spec };
-    let err = run_sweep(
-        &other,
-        &SweepOptions {
-            out: Some(out),
-            ..SweepOptions::default()
-        },
-    )
-    .unwrap_err();
+    let other = SweepSpec {
+        seed: 3,
+        ..spec.clone()
+    };
+    let opts = SweepOptions {
+        out: Some(out),
+        ..SweepOptions::default()
+    };
+    let err = run_sweep(&other, &opts).unwrap_err();
     assert!(
         err.to_string().contains("different sweep spec"),
         "got: {err}"
     );
+    // A spec whose 12-byte prefix splits a multi-byte character.
+    std::fs::write(
+        scratch.path("rows.jsonl.manifest.json"),
+        format!(
+            "{{\"schema\":1,\"spec\":\"a{}\",\"shard\":null}}",
+            "é".repeat(20)
+        ),
+    )
+    .unwrap();
+    let err = run_sweep(&spec, &opts).unwrap_err();
+    assert!(
+        err.to_string().contains("different sweep spec"),
+        "got: {err}"
+    );
+}
+
+#[test]
+fn corrupt_manifests_and_torn_rows_never_panic() {
+    let scratch = Scratch::new("mutate");
+    let spec = small_spec();
+    let out = scratch.path("rows.jsonl");
+    let manifest_path = scratch.path("rows.jsonl.manifest.json");
+    let opts = SweepOptions {
+        cache_dir: Some(scratch.path("cache")),
+        out: Some(out.clone()),
+        ..SweepOptions::default()
+    };
+    // A finished run: every cell is in the JSONL and the cache, so a
+    // run that gets past the manifest guard simulates nothing.
+    run_sweep(&spec, &opts).unwrap();
+    let rows = std::fs::read(&out).unwrap();
+    let manifest = std::fs::read(&manifest_path).unwrap();
+    let attempt = |rows: &[u8], manifest: &[u8], what: &str| {
+        std::fs::write(&out, rows).unwrap();
+        std::fs::write(&manifest_path, manifest).unwrap();
+        catch_unwind(AssertUnwindSafe(|| run_sweep(&spec, &opts)))
+            .unwrap_or_else(|_| panic!("run_sweep panicked on {what}"))
+    };
+
+    for n in 0..manifest.len() {
+        let _ = attempt(&rows, &manifest[..n], &format!("manifest cut at {n}"));
+    }
+    for i in 0..manifest.len() {
+        for sub in [&b"\xff"[..], b"\"", b"}", "é".as_bytes()] {
+            let mut bad = manifest[..i].to_vec();
+            bad.extend_from_slice(sub);
+            bad.extend_from_slice(&manifest[i + 1..]);
+            let _ = attempt(&rows, &bad, &format!("manifest byte {i} := {sub:?}"));
+        }
+    }
+
+    // Torn rows under an intact manifest resume: every cell ends up in
+    // the file.
+    let mut cuts = vec![0];
+    for (i, _) in rows.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        cuts.extend([i, i + 1, i + 2]);
+    }
+    cuts.retain(|&c| c <= rows.len());
+    for cut in cuts {
+        let summary = attempt(&rows[..cut], &manifest, &format!("rows cut at {cut}"))
+            .unwrap_or_else(|e| panic!("rows cut at {cut}: {e}"));
+        assert_eq!(
+            summary.prior_done + summary.rows.len(),
+            4,
+            "rows cut at {cut}"
+        );
+    }
 }
 
 #[test]
