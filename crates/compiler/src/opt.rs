@@ -14,29 +14,15 @@
 //! * copy propagation;
 //! * dead-code elimination (pure ops and plain loads).
 //!
-//! All passes run to a fixpoint via [`optimize`].
+//! All passes run to a bounded fixpoint via [`optimize_with`].
 
 use crate::ir::{BinOp, Func, InstKind, IsaOp, Term, UnOp, VReg, Val};
 use pc_isa::{op as isa_op, LoadFlavor, Value};
 use std::collections::HashMap;
 
-/// Runs all passes to a (bounded) fixpoint.
+/// Runs all passes to a (bounded) fixpoint, without LICM.
 pub fn optimize(f: &mut Func) {
-    for _ in 0..8 {
-        let mut changed = false;
-        changed |= fold_and_propagate(f);
-        changed |= algebraic(f);
-        changed |= cse(f);
-        // Coalesce before copy propagation: propagating a copied value
-        // into its same-block uses would destroy the single-use property
-        // coalescing needs (`ld tmp; mov var<-tmp` must become `ld var`).
-        changed |= coalesce_copies(f);
-        changed |= copy_propagate(f);
-        changed |= dce(f);
-        if !changed {
-            break;
-        }
-    }
+    optimize_with(f, false);
 }
 
 /// Copy coalescing: rewrites
@@ -316,24 +302,67 @@ pub fn algebraic(f: &mut Func) -> bool {
     changed
 }
 
-/// A value-numbering table entry: canonical key plus the defining register
-/// and its version at record time.
-type CseEntry = ((String, Vec<KeyVal>), (VReg, u32, usize));
+/// The operation half of a value-numbering key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum KeyOp {
+    Bin(BinOp),
+    Un(UnOp),
+    Load,
+}
 
-/// Canonical key for value numbering. Registers are paired with a version
-/// so redefinition invalidates stale entries.
-#[derive(Debug, Clone, PartialEq)]
+/// Canonical operand for value numbering. Registers are paired with a
+/// version so redefinition invalidates stale entries. The derived order
+/// only sorts commutative operand pairs, and any total order makes
+/// `a op b` and `b op a` the same key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum KeyVal {
     R(VReg, u32),
     CI(i64),
     CF(u64), // bits, so NaN keys behave
 }
 
+/// A value-numbering key: the operation and its operands (a unary
+/// operation pads the second with `CI(0)`).
+type CseKey = (KeyOp, KeyVal, KeyVal);
+
 fn key_val(v: Val, versions: &HashMap<VReg, u32>) -> KeyVal {
     match v {
         Val::R(r) => KeyVal::R(r, versions.get(&r).copied().unwrap_or(0)),
         Val::CI(i) => KeyVal::CI(i),
         Val::CF(x) => KeyVal::CF(x.to_bits()),
+    }
+}
+
+/// The live plain-load keys of a block's value table, indexed by address
+/// so a store or synchronizing reference kills exactly the loads it may
+/// alias without scanning every live expression.
+#[derive(Default)]
+struct LoadIndex {
+    /// Loads from a constant address (`base + off`), by that address.
+    by_addr: HashMap<i64, Vec<CseKey>>,
+    /// Loads whose address is not a constant.
+    dynamic: Vec<CseKey>,
+}
+
+impl LoadIndex {
+    fn add(&mut self, key: CseKey) {
+        match key {
+            (_, KeyVal::CI(b), KeyVal::CI(o)) => {
+                self.by_addr.entry(b.wrapping_add(o)).or_default().push(key)
+            }
+            _ => self.dynamic.push(key),
+        }
+    }
+
+    /// Removes and returns the keys a store to `addr` (`None`: an unknown
+    /// address, or a synchronizing reference) may alias.
+    fn kill(&mut self, addr: Option<i64>) -> Vec<CseKey> {
+        let mut dead = std::mem::take(&mut self.dynamic);
+        match addr {
+            Some(a) => dead.extend(self.by_addr.remove(&a).unwrap_or_default()),
+            None => dead.extend(self.by_addr.drain().flat_map(|(_, keys)| keys)),
+        }
+        dead
     }
 }
 
@@ -344,33 +373,33 @@ pub fn cse(f: &mut Func) -> bool {
     let defs = def_counts(f);
     let mut changed = false;
     for b in &mut f.blocks {
-        // (op, operands) -> (dst, dst version at record time, def index)
-        let mut exprs: Vec<CseEntry> = Vec::new();
+        // key -> (dst, dst version at record time, def index)
+        let mut exprs: HashMap<CseKey, (VReg, u32, usize)> = HashMap::new();
+        // Exactly the load keys live in `exprs`.
+        let mut loads = LoadIndex::default();
         let mut versions: HashMap<VReg, u32> = HashMap::new();
         for idx in 0..b.insts.len() {
             let i = &b.insts[idx];
             let key = match &i.kind {
                 InstKind::Bin { op, a, b } => {
                     let (mut ka, mut kb) = (key_val(*a, &versions), key_val(*b, &versions));
-                    if op.commutes() {
-                        // Canonical operand order for commutative ops.
-                        let (sa, sb) = (format!("{ka:?}"), format!("{kb:?}"));
-                        if sa > sb {
-                            std::mem::swap(&mut ka, &mut kb);
-                        }
+                    // Canonical operand order for commutative ops.
+                    if op.commutes() && ka > kb {
+                        std::mem::swap(&mut ka, &mut kb);
                     }
-                    Some((format!("{op:?}"), vec![ka, kb]))
+                    Some((KeyOp::Bin(*op), ka, kb))
                 }
                 InstKind::Un { op, a } if *op != UnOp::Mov => {
-                    Some((format!("{op:?}"), vec![key_val(*a, &versions)]))
+                    Some((KeyOp::Un(*op), key_val(*a, &versions), KeyVal::CI(0)))
                 }
                 InstKind::Load {
                     flavor: LoadFlavor::Plain,
                     base,
                     off,
                 } => Some((
-                    "load".to_string(),
-                    vec![key_val(*base, &versions), key_val(*off, &versions)],
+                    KeyOp::Load,
+                    key_val(*base, &versions),
+                    key_val(*off, &versions),
                 )),
                 _ => None,
             };
@@ -379,9 +408,8 @@ pub fn cse(f: &mut Func) -> bool {
                 // Replace only single-def temporaries: rebinding a mutable
                 // variable must keep its own definition.
                 if defs[dst.0 as usize] == 1 {
-                    if let Some((_, (prev, pv, di))) = exprs.iter().find(|(k, _)| k == key) {
-                        if versions.get(prev).copied().unwrap_or(0) == *pv {
-                            let (prev, di) = (*prev, *di);
+                    if let Some(&(prev, pv, di)) = exprs.get(key) {
+                        if versions.get(&prev).copied().unwrap_or(0) == pv {
                             b.insts[idx].kind = InstKind::Un {
                                 op: UnOp::Mov,
                                 a: Val::R(prev),
@@ -397,35 +425,31 @@ pub fn cse(f: &mut Func) -> bool {
                 }
             }
             let i = &b.insts[idx];
-            // Stores and synchronizing references invalidate load entries.
+            // Stores and synchronizing references invalidate load entries:
+            // a plain store to a known address kills the loads of that
+            // address and the dynamic ones, anything else kills them all.
             if matches!(i.kind, InstKind::Store { .. }) || i.kind.is_sync() {
-                let (base, off) = match &i.kind {
-                    InstKind::Store { base, off, .. } => (*base, *off),
-                    _ => (Val::R(VReg(u32::MAX)), Val::CI(0)),
-                };
-                let precise = match (base, off) {
-                    (Val::CI(b_), Val::CI(o)) if !i.kind.is_sync() => Some(b_ + o),
+                let addr = match &i.kind {
+                    InstKind::Store {
+                        base: Val::CI(b_),
+                        off: Val::CI(o),
+                        ..
+                    } if !i.kind.is_sync() => Some(b_.wrapping_add(*o)),
                     _ => None,
                 };
-                exprs.retain(|((op, ks), _)| {
-                    if op != "load" {
-                        return true;
-                    }
-                    match (precise, &ks[0], &ks[1]) {
-                        // A store to a known address only kills loads of
-                        // that address (or dynamic ones).
-                        (Some(addr), KeyVal::CI(b_), KeyVal::CI(o)) => b_ + o != addr,
-                        _ => false,
-                    }
-                });
+                for dead in loads.kill(addr) {
+                    exprs.remove(&dead);
+                }
             }
             if let Some(d) = i.dst {
                 *versions.entry(d).or_insert(0) += 1;
                 if !replaced {
                     if let Some(key) = key {
                         let v = versions[&d];
-                        exprs.retain(|(k, _)| k != &key);
-                        exprs.push((key, (d, v, idx)));
+                        let fresh = exprs.insert(key, (d, v, idx)).is_none();
+                        if fresh && key.0 == KeyOp::Load {
+                            loads.add(key);
+                        }
                     }
                 }
             }
@@ -441,6 +465,9 @@ pub fn copy_propagate(f: &mut Func) -> bool {
     let mut changed = false;
     for b in &mut f.blocks {
         let mut copy: HashMap<VReg, Val> = HashMap::new();
+        // Source register -> copies recorded from it (some may since have
+        // been overwritten; `copy` is the authority).
+        let mut copies_of: HashMap<VReg, Vec<VReg>> = HashMap::new();
         let subst = |v: &mut Val, copy: &HashMap<VReg, Val>, ch: &mut bool| {
             if let Val::R(r) = v {
                 if let Some(c) = copy.get(r) {
@@ -474,7 +501,11 @@ pub fn copy_propagate(f: &mut Func) -> bool {
             }
             if let Some(d) = i.dst {
                 // Invalidate copies flowing through a redefined source.
-                copy.retain(|_, v| v.reg() != Some(d));
+                for c in copies_of.remove(&d).unwrap_or_default() {
+                    if copy.get(&c) == Some(&Val::R(d)) {
+                        copy.remove(&c);
+                    }
+                }
                 copy.remove(&d);
                 if let InstKind::Un { op: UnOp::Mov, a } = &i.kind {
                     let src_ok = match a {
@@ -483,6 +514,9 @@ pub fn copy_propagate(f: &mut Func) -> bool {
                     };
                     if defs[d.0 as usize] == 1 && src_ok {
                         copy.insert(d, *a);
+                        if let Val::R(r) = a {
+                            copies_of.entry(*r).or_default().push(d);
+                        }
                     }
                 }
             }
@@ -544,6 +578,9 @@ pub fn optimize_with(f: &mut Func, licm_enabled: bool) {
         changed |= fold_and_propagate(f);
         changed |= algebraic(f);
         changed |= cse(f);
+        // Coalesce before copy propagation: propagating a copied value
+        // into its same-block uses would destroy the single-use property
+        // coalescing needs (`ld tmp; mov var<-tmp` must become `ld var`).
         changed |= coalesce_copies(f);
         changed |= copy_propagate(f);
         if licm_enabled {
@@ -729,6 +766,7 @@ pub fn licm(f: &mut Func) -> bool {
 mod tests {
     use super::*;
     use crate::front::expand;
+    use crate::ir::Inst;
     use crate::lower::{lower, LowerOptions};
 
     fn ir_main(src: &str) -> Func {
@@ -979,6 +1017,213 @@ after:
         assert!(
             muls_in_store_blocks > 0,
             "paper-faithful compiler should not hoist"
+        );
+    }
+
+    /// A one-block function over the given instructions, with `regs`
+    /// fresh integer registers for them to use.
+    fn block_func(regs: usize, insts: impl FnOnce(&[VReg]) -> Vec<Inst>) -> Func {
+        let mut f = Func::new("t", 0);
+        let r: Vec<VReg> = (0..regs).map(|_| f.fresh(crate::ast::Ty::Int)).collect();
+        f.blocks[0].insts = insts(&r);
+        f
+    }
+
+    fn load(base: Val, off: Val, dst: VReg) -> Inst {
+        Inst::new(
+            InstKind::Load {
+                flavor: LoadFlavor::Plain,
+                base,
+                off,
+            },
+            Some(dst),
+        )
+    }
+
+    fn store(base: Val, off: Val, val: Val) -> Inst {
+        Inst::new(
+            InstKind::Store {
+                flavor: pc_isa::StoreFlavor::Plain,
+                base,
+                off,
+                val,
+            },
+            None,
+        )
+    }
+
+    fn bin(op: BinOp, a: Val, b: Val, dst: VReg) -> Inst {
+        Inst::new(InstKind::Bin { op, a, b }, Some(dst))
+    }
+
+    fn is_load(i: &Inst) -> bool {
+        matches!(i.kind, InstKind::Load { .. })
+    }
+
+    #[test]
+    fn cse_store_kills_loads_of_the_same_address_through_any_base_offset_pair() {
+        use Val::{CI, R};
+        let mut f = block_func(4, |r| {
+            vec![
+                load(CI(10), CI(2), r[0]),
+                load(CI(8), CI(4), r[1]),
+                store(CI(0), CI(12), CI(7)),
+                load(CI(10), CI(2), r[2]),
+                load(CI(8), CI(4), r[3]),
+            ]
+        });
+        cse(&mut f);
+        let insts = &f.blocks[0].insts;
+        assert!(is_load(&insts[3]) && is_load(&insts[4]), "{f}");
+        // A store elsewhere keeps both.
+        let mut g = block_func(4, |r| {
+            vec![
+                load(CI(10), CI(2), r[0]),
+                load(CI(8), CI(4), r[1]),
+                store(CI(0), CI(13), CI(7)),
+                load(CI(10), CI(2), r[2]),
+                load(CI(8), CI(4), r[3]),
+            ]
+        });
+        assert!(cse(&mut g));
+        let insts = &g.blocks[0].insts;
+        assert_eq!(
+            insts[3].kind,
+            InstKind::Un {
+                op: UnOp::Mov,
+                a: R(insts[0].dst.unwrap())
+            }
+        );
+        assert_eq!(
+            insts[4].kind,
+            InstKind::Un {
+                op: UnOp::Mov,
+                a: R(insts[1].dst.unwrap())
+            }
+        );
+    }
+
+    #[test]
+    fn cse_dynamic_store_kills_constant_address_loads() {
+        use Val::{CI, R};
+        let mut f = block_func(4, |r| {
+            vec![
+                load(CI(100), CI(0), r[0]),
+                load(CI(0), CI(5), r[1]),
+                store(R(r[0]), CI(0), CI(1)),
+                load(CI(0), CI(5), r[2]),
+                load(CI(100), CI(0), r[3]),
+            ]
+        });
+        assert!(!cse(&mut f));
+        assert!(
+            f.blocks[0].insts.iter().filter(|i| is_load(i)).count() == 4,
+            "{f}"
+        );
+    }
+
+    #[test]
+    fn cse_sync_reference_kills_every_load() {
+        use Val::{CI, R};
+        let mut f = block_func(6, |r| {
+            vec![
+                load(CI(0), CI(5), r[0]),
+                load(R(r[0]), CI(1), r[1]),
+                Inst::new(
+                    InstKind::Load {
+                        flavor: LoadFlavor::Consume,
+                        base: CI(50),
+                        off: CI(0),
+                    },
+                    Some(r[2]),
+                ),
+                load(CI(0), CI(5), r[3]),
+                load(R(r[0]), CI(1), r[4]),
+            ]
+        });
+        assert!(!cse(&mut f));
+        assert!(f.blocks[0].insts.iter().all(is_load), "{f}");
+    }
+
+    #[test]
+    fn cse_matches_commutative_operands_in_either_order() {
+        use Val::{CF, CI, R};
+        let mut f = Func::new("t", 0);
+        let x = f.fresh(crate::ast::Ty::Int);
+        let y = f.fresh(crate::ast::Ty::Float);
+        let d: Vec<VReg> = (0..8).map(|_| f.fresh(crate::ast::Ty::Int)).collect();
+        f.blocks[0].insts = vec![
+            load(CI(0), CI(0), x),
+            load(CI(0), CI(1), y),
+            bin(BinOp::Add, R(x), CI(-3), d[0]),
+            bin(BinOp::Add, CI(-3), R(x), d[1]),
+            bin(BinOp::Mul, CI(-4), CI(6), d[2]),
+            bin(BinOp::Mul, CI(6), CI(-4), d[3]),
+            bin(BinOp::Fadd, R(y), CF(-2.5), d[4]),
+            bin(BinOp::Fadd, CF(-2.5), R(y), d[5]),
+            // Not commutative: the swapped operands are a new value.
+            bin(BinOp::Sub, R(x), CI(-3), d[6]),
+            bin(BinOp::Sub, CI(-3), R(x), d[7]),
+        ];
+        assert!(cse(&mut f));
+        let insts = &f.blocks[0].insts;
+        for k in [3, 5, 7] {
+            assert_eq!(
+                insts[k].kind,
+                InstKind::Un {
+                    op: UnOp::Mov,
+                    a: R(insts[k - 1].dst.unwrap())
+                },
+                "{f}"
+            );
+        }
+        assert!(
+            matches!(insts[9].kind, InstKind::Bin { op: BinOp::Sub, .. }),
+            "{f}"
+        );
+    }
+
+    #[test]
+    fn copy_not_propagated_past_a_redefinition_of_its_source() {
+        use Val::{CI, R};
+        // `c = mov s` reads `s` before `s`'s one definition in the block
+        // (the value of the previous trip): uses of `c` before that
+        // definition may read `s`, uses after it must keep `c`.
+        let mut f = block_func(4, |r| {
+            let (s, c, u, v) = (r[0], r[1], r[2], r[3]);
+            vec![
+                Inst::new(
+                    InstKind::Un {
+                        op: UnOp::Mov,
+                        a: R(s),
+                    },
+                    Some(c),
+                ),
+                bin(BinOp::Add, R(c), CI(1), u),
+                load(CI(0), CI(0), s),
+                bin(BinOp::Add, R(c), CI(2), v),
+            ]
+        });
+        copy_propagate(&mut f);
+        let r = |k: usize| VReg(k as u32);
+        let insts = &f.blocks[0].insts;
+        assert_eq!(
+            insts[1].kind,
+            InstKind::Bin {
+                op: BinOp::Add,
+                a: R(r(0)),
+                b: CI(1)
+            },
+            "{f}"
+        );
+        assert_eq!(
+            insts[3].kind,
+            InstKind::Bin {
+                op: BinOp::Add,
+                a: R(r(1)),
+                b: CI(2)
+            },
+            "{f}"
         );
     }
 

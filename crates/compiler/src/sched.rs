@@ -25,7 +25,8 @@ use pc_isa::{
     BranchOp, ClusterId, CodeSegment, FuId, InstWord, LoadFlavor, MachineConfig, OpKind, Operand,
     Operation, RegId, SegmentDebug, StoreFlavor, UnitClass,
 };
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Cluster-restriction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -317,7 +318,7 @@ impl Scheduler<'_> {
         {
             let mut writers: HashMap<(VReg, u16), usize> = HashMap::new();
             let mut readers: HashMap<(VReg, u16), Vec<usize>> = HashMap::new();
-            let mut mem_idx: Vec<usize> = Vec::new();
+            let mut mem_order = MemOrder::default();
             let mut last_fork: Option<usize> = None;
             let mut last_probe: Option<usize> = None;
             let edge = |succs: &mut Vec<Vec<(usize, u32)>>,
@@ -325,7 +326,16 @@ impl Scheduler<'_> {
                         from: usize,
                         to: usize,
                         w: u32| {
-                if from != to && !succs[from].iter().any(|&(t, w0)| t == to && w0 >= w) {
+                // One list-scheduling pass per row relies on this.
+                assert!(w >= 1, "dependence edge of weight 0");
+                // Edges into `to` are all added while `to` is the current
+                // op, so any duplicate sits at the tail of `succs[from]`.
+                let dup = succs[from]
+                    .iter()
+                    .rev()
+                    .take_while(|&&(t, _)| t == to)
+                    .any(|&(_, w0)| w0 >= w);
+                if from != to && !dup {
                     succs[from].push((to, w));
                     preds[to] += 1;
                 }
@@ -353,14 +363,9 @@ impl Scheduler<'_> {
                     }
                     writers.insert(loc, i);
                 }
-                if let Some((is_store, is_sync, addr)) = op.mem {
-                    for &j in &mem_idx {
-                        let (js, jsync, jaddr) = sops[j].mem.expect("mem_idx holds mem ops");
-                        let conflict =
-                            is_sync || jsync || ((is_store || js) && may_alias(addr, jaddr));
-                        if conflict {
-                            edge(&mut succs, &mut preds, j, i, 1);
-                        }
+                if let Some(mem) = op.mem {
+                    for j in mem_order.follow(i, mem) {
+                        edge(&mut succs, &mut preds, j, i, 1);
                     }
                     // Forks are memory fences both ways: at runtime a fork
                     // waits for the thread's outstanding references, so a
@@ -370,11 +375,10 @@ impl Scheduler<'_> {
                     if let Some(lf) = last_fork {
                         edge(&mut succs, &mut preds, lf, i, 1);
                     }
-                    mem_idx.push(i);
                 }
                 match op.kind {
                     SKind::Fk { .. } => {
-                        for &j in &mem_idx {
+                        for j in mem_order.all() {
                             edge(&mut succs, &mut preds, j, i, 1);
                         }
                         if let Some(lf) = last_fork {
@@ -404,55 +408,79 @@ impl Scheduler<'_> {
         }
 
         // ---- List scheduling ------------------------------------------------
+        // Ops become ready when their last predecessor is placed; until the
+        // row their operands arrive in they wait in a bucket keyed by that
+        // row, then join their (cluster, class) queue in (height, index)
+        // priority order. Every edge weighs at least one row, so a row's
+        // placements never ready another op for the same row: one pass per
+        // row, taking queue heads in priority order across queues (register
+        // allocation in `materialize` follows placement order).
+        let mut queue_of: HashMap<(u16, UnitClass), usize> = HashMap::new();
+        let mut queues: Vec<ReadyQueue> = Vec::new();
+        let op_queue: Vec<usize> = sops
+            .iter()
+            .map(|op| {
+                *queue_of.entry((op.cluster.0, op.class)).or_insert_with(|| {
+                    queues.push(ReadyQueue::new(self.config, op.cluster, op.class));
+                    queues.len() - 1
+                })
+            })
+            .collect();
+        let mut remaining_preds = preds;
+        for i in (0..n).filter(|&i| remaining_preds[i] == 0) {
+            queues[op_queue[i]].ready.insert((Reverse(height[i]), i));
+        }
+        let mut waiting: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         let mut placed: Vec<Option<u32>> = vec![None; n];
         let mut earliest: Vec<u32> = vec![0; n];
-        let mut remaining_preds = preds;
-        let mut unplaced: Vec<usize> = (0..n).collect();
+        let mut unplaced = n;
         let mut row: u32 = 0;
         let mut row_words: Vec<InstWord> = Vec::new();
         // Block-relative (row, unit) → provenance of the op placed there.
         let mut prov_at: Vec<(u32, FuId, Prov)> = Vec::new();
-        while !unplaced.is_empty() {
-            // Candidates ready at this row.
-            let mut ready: Vec<usize> = unplaced
-                .iter()
-                .copied()
-                .filter(|&i| remaining_preds[i] == 0 && earliest[i] <= row)
-                .collect();
-            ready.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
-            if row_words.len() as u32 <= row {
-                row_words.resize(row as usize + 1, InstWord::new());
+        while unplaced > 0 {
+            for i in waiting.remove(&row).unwrap_or_default() {
+                queues[op_queue[i]].ready.insert((Reverse(height[i]), i));
             }
-            let mut used_units: Vec<FuId> = row_words[row as usize]
-                .slots()
-                .iter()
-                .map(|(fu, _)| *fu)
-                .collect();
-            let mut placed_any = false;
-            for i in ready {
-                // A free unit of the required (cluster, class).
-                let unit = self
-                    .config
-                    .units_in_cluster(sops[i].cluster)
-                    .find(|u| u.class == sops[i].class && !used_units.contains(&u.id));
-                let Some(unit) = unit else { continue };
-                used_units.push(unit.id);
+            for q in &mut queues {
+                q.free = q.units.len();
+            }
+            row_words.resize(row as usize + 1, InstWord::new());
+            // The best queue head that still has a free unit this row.
+            while let Some(qi) = (0..queues.len())
+                .filter(|&q| queues[q].free > 0)
+                .filter_map(|q| Some((*queues[q].ready.first()?, q)))
+                .min()
+                .map(|(_, q)| q)
+            {
+                let q = &mut queues[qi];
+                let (_, i) = q.ready.pop_first().expect("queue head");
+                let unit = q.units[q.units.len() - q.free];
+                q.free -= 1;
                 let op = self.materialize(&sops[i])?;
-                row_words[row as usize].push(unit.id, op);
+                row_words[row as usize].push(unit, op);
                 if !sops[i].prov.is_empty() {
-                    prov_at.push((row, unit.id, sops[i].prov.clone()));
+                    prov_at.push((row, unit, sops[i].prov.clone()));
                 }
                 placed[i] = Some(row);
-                placed_any = true;
+                unplaced -= 1;
                 for &(t, w) in &succs[i] {
                     remaining_preds[t] -= 1;
                     earliest[t] = earliest[t].max(row + w);
+                    if remaining_preds[t] == 0 {
+                        waiting.entry(earliest[t]).or_default().push(t);
+                    }
                 }
-                unplaced.retain(|&x| x != i);
             }
-            if !placed_any {
-                row += 1;
+            if unplaced == 0 {
+                break;
             }
+            // Rows with nothing ready are left empty.
+            row = if queues.iter().any(|q| !q.ready.is_empty()) {
+                row + 1
+            } else {
+                *waiting.keys().next().expect("an unplaced op is waiting")
+            };
         }
 
         // ---- Terminator -----------------------------------------------------
@@ -963,14 +991,104 @@ impl Scheduler<'_> {
     }
 }
 
+/// The ready ops of one (cluster, class) pair during list scheduling.
+struct ReadyQueue {
+    /// The cluster's units of the class, in configuration order.
+    units: Vec<FuId>,
+    /// Units not yet taken in the current row.
+    free: usize,
+    /// Ready ops, most critical first: greatest height, then lowest index.
+    ready: BTreeSet<(Reverse<u64>, usize)>,
+}
+
+impl ReadyQueue {
+    fn new(config: &MachineConfig, cluster: ClusterId, class: UnitClass) -> Self {
+        let units: Vec<FuId> = config
+            .units_in_cluster(cluster)
+            .filter(|u| u.class == class)
+            .map(|u| u.id)
+            .collect();
+        debug_assert!(!units.is_empty(), "op placed on a cluster lacking its unit");
+        ReadyQueue {
+            units,
+            free: 0,
+            ready: BTreeSet::new(),
+        }
+    }
+}
+
 fn const_addr(base: Val, off: Val) -> Option<i64> {
     Some(base.as_ci()? + off.as_ci()?)
 }
 
-fn may_alias(a: Option<i64>, b: Option<i64>) -> bool {
-    match (a, b) {
-        (Some(x), Some(y)) => x == y,
-        _ => true,
+/// Memory-ordering predecessors within a block. Two references conflict
+/// when either synchronizes, or either stores and their addresses may
+/// alias (equal constants, or either one dynamic). A conflict is recorded
+/// as an edge only when no path through other conflicts already orders
+/// the pair: such a path weighs at least two rows, so heights and earliest
+/// rows come out as with every edge present.
+#[derive(Default)]
+struct MemOrder {
+    /// The last reference that conflicts with every other: a
+    /// synchronizing reference or a store to a dynamic address.
+    barrier: Option<usize>,
+    /// Every reference since `barrier`.
+    since_barrier: Vec<usize>,
+    /// Per constant address, the last store to it since `barrier`.
+    last_store: HashMap<i64, usize>,
+    /// Per constant address, the loads of it since its last store.
+    loads: HashMap<i64, Vec<usize>>,
+    /// Loads from dynamic addresses since `barrier`, in program order.
+    dyn_loads: Vec<usize>,
+}
+
+impl MemOrder {
+    /// Records reference `i` (`(is_store, is_sync, const_addr)`) and
+    /// returns the earlier references it must follow.
+    fn follow(
+        &mut self,
+        i: usize,
+        (is_store, is_sync, addr): (bool, bool, Option<i64>),
+    ) -> Vec<usize> {
+        let mut deps: Vec<usize> = self.barrier.into_iter().collect();
+        match (is_store, addr) {
+            (false, Some(a)) if !is_sync => {
+                deps.extend(self.last_store.get(&a));
+                self.loads.entry(a).or_default().push(i);
+            }
+            (false, None) if !is_sync => {
+                deps.extend(self.last_store.values());
+                self.dyn_loads.push(i);
+            }
+            (true, Some(a)) if !is_sync => {
+                let prev = self.last_store.insert(a, i);
+                deps.extend(prev);
+                deps.extend(self.loads.remove(&a).unwrap_or_default());
+                // Dynamic loads before `prev` are ordered through it.
+                let from = prev.map_or(0, |s| self.dyn_loads.partition_point(|&l| l < s));
+                deps.extend(&self.dyn_loads[from..]);
+            }
+            // A synchronizing reference or a store to a dynamic address:
+            // the new barrier.
+            _ => {
+                deps.append(&mut self.since_barrier);
+                *self = MemOrder {
+                    barrier: Some(i),
+                    ..MemOrder::default()
+                };
+                return deps;
+            }
+        }
+        self.since_barrier.push(i);
+        deps
+    }
+
+    /// The barrier and every reference since: following these follows
+    /// every earlier reference too (forks fence all memory).
+    fn all(&self) -> impl Iterator<Item = usize> + '_ {
+        self.barrier
+            .into_iter()
+            .chain(self.since_barrier.iter().copied())
     }
 }
 

@@ -87,6 +87,29 @@ fn parse_memory(s: &str) -> MemoryModel {
     }
 }
 
+/// Checks a subcommand's `--flag`s before any work: each must be one of
+/// `values` (flags taking a value) or `switches` (whitespace-separated
+/// lists), and a value flag must be followed by a value, not by the end
+/// of the line or another `--flag`. Anything else prints the usage text
+/// and exits 2.
+fn check_flags(cmd: &str, args: &[String], values: &str, switches: &str) {
+    let listed = |list: &str, a: &str| list.split_whitespace().any(|f| f == a);
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") || listed(switches, a) {
+            continue;
+        }
+        if !listed(values, a) {
+            eprintln!("pcsim: unknown {cmd} flag {a}");
+            usage();
+        }
+        if !args.next().is_some_and(|v| !v.starts_with("--")) {
+            eprintln!("pcsim: {cmd} flag {a} needs a value");
+            usage();
+        }
+    }
+}
+
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -156,6 +179,12 @@ fn parse_config(args: &[String]) -> Result<MachineConfig, Box<dyn std::error::Er
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags(
+        "run",
+        args,
+        "--mode --interconnect --memory --seed --engine",
+        "--lockstep --priority",
+    );
     let Some(name) = args.first() else { usage() };
     let bench = parse_bench(name);
     let mode = flag_value(args, "--mode")
@@ -194,6 +223,12 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags(
+        "profile",
+        args,
+        "--interconnect --memory --seed --engine --jsonl --chrome",
+        "--lockstep --priority",
+    );
     let Some(name) = args.first() else { usage() };
     let bench = parse_bench(name);
     let Some(mode_arg) = args.get(1) else { usage() };
@@ -229,6 +264,12 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags(
+        "explain",
+        args,
+        "--modes --interconnect --memory --seed",
+        "--lockstep --priority",
+    );
     let Some(name) = args.first() else { usage() };
     let bench = parse_bench(name);
     let modes: Vec<MachineMode> = flag_value(args, "--modes")
@@ -271,6 +312,7 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags("compile", args, "", "--single");
     let Some(path) = args.first() else { usage() };
     let src = std::fs::read_to_string(path)?;
     let mode = if args.iter().any(|a| a == "--single") {
@@ -290,6 +332,7 @@ fn cmd_compile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags("exec", args, "--trace", "");
     let Some(path) = args.first() else { usage() };
     let src = std::fs::read_to_string(path)?;
     let config = MachineConfig::baseline();
@@ -324,6 +367,7 @@ fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags("tables", args, "--jobs", "");
     let which = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -388,6 +432,12 @@ fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags(
+        "metrics",
+        args,
+        "--mode --interconnect --memory --seed --engine --check-overhead --iters",
+        "--lockstep --priority --json --prometheus",
+    );
     let Some(name) = args.first() else { usage() };
     let bench = parse_bench(name);
     let mode = flag_value(args, "--mode")
@@ -469,14 +519,13 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use coupling::sweep::{run_sweep, MemKind, Mix, SweepOptions, SweepSpec};
-    const FLAGS: &str = "--benches --modes --interconnects --memories --mixes --full --seed \
-                         --jobs --out --shard --cache-dir --no-cache --telemetry --progress \
-                         --metrics-out";
-    let known = |a: &String| FLAGS.split_whitespace().any(|f| f == a);
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
-        eprintln!("pcsim: unknown sweep flag {flag}");
-        usage();
-    }
+    check_flags(
+        "sweep",
+        args,
+        "--benches --modes --interconnects --memories --mixes --seed --jobs --out --shard \
+         --cache-dir --metrics-out",
+        "--full --no-cache --telemetry --progress",
+    );
 
     let mut spec = if args.iter().any(|a| a == "--full") {
         SweepSpec::full()
