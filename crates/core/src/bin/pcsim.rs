@@ -38,6 +38,32 @@ use pc_isa::{ArbitrationPolicy, InterconnectScheme, MachineConfig, MemoryModel, 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// `print!` to stdout, except that a closed stdout (`pcsim … | head -1`)
+/// ends the process quietly with exit 0 instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with [`out!`]'s handling of a closed stdout.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("pcsim: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:
@@ -89,14 +115,23 @@ fn parse_memory(s: &str) -> MemoryModel {
 
 /// Checks a subcommand's `--flag`s before any work: each must be one of
 /// `values` (flags taking a value) or `switches` (whitespace-separated
-/// lists), and a value flag must be followed by a value, not by the end
-/// of the line or another `--flag`. Anything else prints the usage text
-/// and exits 2.
+/// lists) and appear at most once, and a value flag must be followed by
+/// a value, not by the end of the line or another `--flag`. Anything
+/// else prints the usage text and exits 2.
 fn check_flags(cmd: &str, args: &[String], values: &str, switches: &str) {
     let listed = |list: &str, a: &str| list.split_whitespace().any(|f| f == a);
+    let mut seen = Vec::new();
     let mut args = args.iter();
     while let Some(a) = args.next() {
-        if !a.starts_with("--") || listed(switches, a) {
+        if !a.starts_with("--") {
+            continue;
+        }
+        if seen.contains(&a) {
+            eprintln!("pcsim: {cmd} flag {a} given twice");
+            usage();
+        }
+        seen.push(a);
+        if listed(switches, a) {
             continue;
         }
         if !listed(values, a) {
@@ -196,29 +231,30 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..Observe::default()
     };
     let out = run_benchmark_observed(&bench, mode, config, &observe)?;
-    println!("{} / {}: validated ✓", bench.name, mode.label());
-    println!("engine      {}", out.engine.name());
-    println!("cycles      {}", out.stats.cycles);
-    println!("operations  {}", out.stats.ops_issued);
-    println!("threads     {}", out.stats.threads_spawned);
-    println!(
+    outln!("{} / {}: validated ✓", bench.name, mode.label());
+    outln!("engine      {}", out.engine.name());
+    outln!("cycles      {}", out.stats.cycles);
+    outln!("operations  {}", out.stats.ops_issued);
+    outln!("threads     {}", out.stats.threads_spawned);
+    outln!(
         "utilization FPU {:.2}  IU {:.2}  MEM {:.2}  BR {:.2}",
         out.stats.utilization(UnitClass::Float),
         out.stats.utilization(UnitClass::Integer),
         out.stats.utilization(UnitClass::Memory),
         out.stats.utilization(UnitClass::Branch),
     );
-    println!(
+    outln!(
         "memory      {} refs, {:.1}% missed, {} parked",
         out.stats.mem.total(),
         100.0 * out.stats.mem.miss_rate(),
         out.stats.mem.parked,
     );
-    println!(
+    outln!(
         "interconnect {} writes granted, {} denied",
-        out.stats.xconn.grants, out.stats.xconn.denials
+        out.stats.xconn.grants,
+        out.stats.xconn.denials
     );
-    println!("peak regs   {} per cluster", out.peak_registers);
+    outln!("peak regs   {} per cluster", out.peak_registers);
     Ok(())
 }
 
@@ -242,20 +278,20 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..Observe::default()
     };
     let out = run_benchmark_observed(&bench, mode, config, &observe)?;
-    println!("{} / {}: validated ✓", bench.name, mode.label());
-    println!(
+    outln!("{} / {}: validated ✓", bench.name, mode.label());
+    outln!(
         "engine {}   cycles {}   operations {}   threads {}\n",
         out.engine.name(),
         out.stats.cycles,
         out.stats.ops_issued,
         out.stats.threads_spawned
     );
-    println!("{}", coupling::report::stall_report(&out.stats));
+    outln!("{}", coupling::report::stall_report(&out.stats));
     if let Some(p) = &observe.jsonl {
-        println!("event stream written to {}", p.display());
+        outln!("event stream written to {}", p.display());
     }
     if let Some(p) = &observe.chrome {
-        println!(
+        outln!(
             "chrome trace written to {} (open in Perfetto / chrome://tracing)",
             p.display()
         );
@@ -283,8 +319,8 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     for &mode in &modes {
         let out = run_benchmark_observed(&bench, mode, config.clone(), &Observe::profiled())?;
         let src = bench.source(mode).map(str::to_string);
-        println!("{} / {}: validated ✓", bench.name, mode.label());
-        println!(
+        outln!("{} / {}: validated ✓", bench.name, mode.label());
+        outln!(
             "{}\n",
             coupling::report::source_report(&out.stats, &out.debug, src.as_deref())
         );
@@ -297,7 +333,7 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // Pairwise diff against the first mode — the per-line Table 4.
     let (base_mode, base_table, base_src) = &tables[0];
     for (mode, table, _) in &tables[1..] {
-        println!(
+        outln!(
             "{}",
             coupling::report::source_diff(
                 base_mode.label(),
@@ -321,7 +357,7 @@ fn cmd_compile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ScheduleMode::Unrestricted
     };
     let out = pc_compiler::compile(&src, &MachineConfig::baseline(), mode)?;
-    print!("{}", pc_asm::print_program(&out.program));
+    out!("{}", pc_asm::print_program(&out.program));
     eprintln!(
         "; {} segments, {} ops, peak {} registers/cluster",
         out.program.segments.len(),
@@ -347,18 +383,20 @@ fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         m.attach_probe(Box::new(Rc::clone(&ring)));
     }
     let stats = m.run(100_000_000)?;
-    println!(
+    outln!(
         "ran {} cycles, {} ops, {} threads",
-        stats.cycles, stats.ops_issued, stats.threads_spawned
+        stats.cycles,
+        stats.ops_issued,
+        stats.threads_spawned
     );
     for name in symbols {
         let vals = m.read_global(&name)?;
         let shown: Vec<String> = vals.iter().take(16).map(|v| v.to_string()).collect();
         let ell = if vals.len() > 16 { " …" } else { "" };
-        println!("{name} = [{}{ell}]", shown.join(", "));
+        outln!("{name} = [{}{ell}]", shown.join(", "));
     }
     if let Some(n) = trace_cycles {
-        println!(
+        outln!(
             "\n{}",
             pc_sim::trace::render_interleaving(&config, &ring.borrow().issue_events(), 0..n)
         );
@@ -398,35 +436,35 @@ fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         // One run of the Table-2 grid feeds both tables.
         let r = baseline::run(&suite, jobs)?;
         if want("table2") {
-            println!("{}", r.table2().render());
+            outln!("{}", r.table2().render());
         }
         if want("fig5") {
-            println!("{}", r.fig5().render());
+            outln!("{}", r.fig5().render());
         }
     }
     if want("table3") {
         // Two heterogeneous runs; not worth fanning out.
-        println!("{}", interference::run()?.render());
+        outln!("{}", interference::run()?.render());
     }
     if want("fig6") {
-        println!("{}", comm::run(&suite, jobs)?.render());
+        outln!("{}", comm::run(&suite, jobs)?.render());
     }
     if want("fig7") {
-        println!("{}", latency::run(&suite, jobs)?.render());
+        outln!("{}", latency::run(&suite, jobs)?.render());
     }
     if want("fig8") {
-        println!("{}", mix::run(&suite, 4, jobs)?.render());
+        outln!("{}", mix::run(&suite, 4, jobs)?.render());
     }
     if want("ablations") {
         for study in ablation::run(&ablation::benches(), jobs)? {
-            println!("{}", study.render());
+            outln!("{}", study.render());
         }
     }
     if want("registers") {
-        println!("{}", registers::run(&suite, jobs)?.render());
+        outln!("{}", registers::run(&suite, jobs)?.render());
     }
     if want("scaling") {
-        println!("{}", scaling::run(&scaling::SIZES, jobs)?.render());
+        outln!("{}", scaling::run(&scaling::SIZES, jobs)?.render());
     }
     Ok(())
 }
@@ -474,7 +512,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             on = on.min(timed(&observed(true))?);
         }
         let delta = (on as f64 - off as f64) * 100.0 / off.max(1) as f64;
-        println!(
+        outln!(
             "telemetry overhead: off {:.3} ms, on {:.3} ms, delta {delta:+.2}% (budget {pct:.1}%)",
             off as f64 / 1e6,
             on as f64 / 1e6,
@@ -495,24 +533,24 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .host_profile
         .ok_or("host profile missing despite telemetry being requested")?;
     if args.iter().any(|a| a == "--json") {
-        println!(
+        outln!(
             "{}",
             pc_metrics::Snapshot::from_samples(profile.to_samples()).to_jsonl()
         );
     } else if args.iter().any(|a| a == "--prometheus") {
-        print!(
+        out!(
             "{}",
             pc_metrics::Snapshot::from_samples(profile.to_samples()).render_prometheus("pcsim_")
         );
     } else {
-        println!(
+        outln!(
             "{} / {}: validated ✓ (engine {}, {} cycles)\n",
             bench.name,
             mode.label(),
             out.engine.name(),
             out.stats.cycles
         );
-        println!("{}", profile.render_text());
+        outln!("{}", profile.render_text());
     }
     Ok(())
 }
@@ -600,7 +638,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // JSON summary always ends stdout (the machine interface CI greps).
     if opts.out.is_none() {
         for row in &summary.rows {
-            println!("{}", row.to_jsonl());
+            outln!("{}", row.to_jsonl());
         }
     }
     eprintln!(
@@ -614,6 +652,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         summary.jobs,
         summary.wall_ns as f64 / 1e9,
     );
-    println!("{}", summary.to_json());
+    outln!("{}", summary.to_json());
     Ok(())
 }

@@ -12,14 +12,20 @@
 //! * the **configuration fingerprint**: every field of
 //!   [`MachineConfig`], floats by bit pattern.
 //!
+//! A sweep hashes the part of the key text that depends only on
+//! `(bench, mode)` once ([`KeyPrefix`]) and finishes each cell's key
+//! from a copy of that hash state.
+//!
 //! Entries are single JSON files under the cache directory named by
 //! their key, written atomically (temp file + rename) so a killed sweep
-//! never leaves a half-written entry that later poisons a resume. *Any*
-//! read problem — missing file, truncation, corruption, a stale schema
-//! — degrades to a miss and a recompute; the cache can always be
-//! deleted wholesale.
+//! never leaves a half-written entry that later poisons a resume. They
+//! are read back as canonical text only: one linear pass over the exact
+//! layout [`ResultCache::store`] writes, with no JSON tree. *Any* read
+//! problem — missing file, truncation, corruption, a stale schema, a
+//! hand-edited or reordered entry — degrades to a miss and a recompute;
+//! the cache can always be deleted wholesale.
 
-use super::codec::{escape_json, parse_json, stats_from_value, stats_to_json};
+use super::codec::{decode_stats, escape_json, stats_to_json, Cursor};
 use crate::mode::MachineMode;
 use pc_isa::MachineConfig;
 use pc_sim::RunStats;
@@ -46,73 +52,129 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// Message padding: `0x80`, then zeros up to 56 bytes mod 64.
+const PAD: [u8; 64] = {
+    let mut pad = [0u8; 64];
+    pad[0] = 0x80;
+    pad
+};
+
+/// Incremental SHA-256. The state is `Clone`, so a shared prefix can be
+/// hashed once and each message finished from a copy of it.
+#[derive(Debug, Clone)]
+pub(crate) struct Sha256 {
+    h: [u32; 8],
+    /// The start of a block still waiting for the rest of its bytes.
+    block: [u8; 64],
+    filled: usize,
+    /// Message bytes so far.
+    len: u64,
+}
+
+impl Sha256 {
+    /// The state of an empty message.
+    pub(crate) fn new() -> Sha256 {
+        Sha256 {
+            h: H0,
+            block: [0; 64],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `data` to the message.
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.filled > 0 {
+            let take = (64 - self.filled).min(data.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 64 {
+                return;
+            }
+            let block = self.block;
+            compress(&mut self.h, &block);
+            self.filled = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.h, block.try_into().expect("64-byte chunk"));
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// The digest of the message, as 64 lowercase hex digits.
+    pub(crate) fn finish(mut self) -> String {
+        let bit_len = self.len.wrapping_mul(8);
+        // Pad: message || 0x80 || zeros || 64-bit bit length.
+        self.update(&PAD[..1 + (119 - self.filled) % 64]);
+        self.update(&bit_len.to_be_bytes());
+        debug_assert_eq!(self.filled, 0);
+        let mut hex = String::with_capacity(64);
+        for word in self.h {
+            let _ = write!(hex, "{word:08x}");
+        }
+        hex
+    }
+}
+
+/// One SHA-256 compression round over a 64-byte block.
+fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (x, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *x = x.wrapping_add(v);
+    }
+}
+
 /// SHA-256 digest of `data`, as 64 lowercase hex digits.
 pub fn sha256_hex(data: &[u8]) -> String {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    // Pad: message || 0x80 || zeros || 64-bit bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
-    }
-    let mut hex = String::with_capacity(64);
-    for word in h {
-        let _ = write!(hex, "{word:08x}");
-    }
-    hex
+    let mut h = Sha256::new();
+    h.update(data);
+    h.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -164,17 +226,54 @@ pub fn config_fingerprint(config: &MachineConfig) -> String {
 /// `(bench, mode)`; the compiled program is a pure function of it, the
 /// mode's schedule restriction, and the configuration, so hashing the
 /// inputs is equivalent to hashing the program — and cheaper than
-/// compiling just to decide whether to skip compiling.
+/// compiling just to decide whether to skip compiling. A sweep derives
+/// the same key through [`KeyPrefix`], hashing the source once.
 pub fn cache_key(bench: &str, mode: MachineMode, source: &str, config: &MachineConfig) -> String {
-    let text = format!(
-        "pc-sweep-cache-v{CACHE_SCHEMA_VERSION}\nbench={bench}\nmode={}\nschedule={:?}\n\
-         source={source}\nconfig={}\ncycle_limit={}\n",
+    let text = format!("{}{source}{}", key_head(bench, mode), key_tail(config));
+    sha256_hex(text.as_bytes())
+}
+
+/// The key text before the source: schema, bench and mode.
+fn key_head(bench: &str, mode: MachineMode) -> String {
+    format!(
+        "pc-sweep-cache-v{CACHE_SCHEMA_VERSION}\nbench={bench}\nmode={}\nschedule={:?}\nsource=",
         mode.label(),
         mode.schedule_mode(),
+    )
+}
+
+/// The key text after the source: the configuration and cycle budget.
+fn key_tail(config: &MachineConfig) -> String {
+    format!(
+        "\nconfig={}\ncycle_limit={}\n",
         config_fingerprint(config),
         crate::runner::CYCLE_LIMIT,
-    );
-    sha256_hex(text.as_bytes())
+    )
+}
+
+/// The hashed part of [`cache_key`]'s text that depends only on
+/// `(bench, mode)`: everything up to and including the source. A sweep
+/// builds one per distinct `(bench, mode)` and finishes each cell's key
+/// from a copy, instead of hashing the source again for every cell.
+#[derive(Debug, Clone)]
+pub struct KeyPrefix(Sha256);
+
+impl KeyPrefix {
+    /// Hashes the key text up to and including `source`.
+    pub fn new(bench: &str, mode: MachineMode, source: &str) -> KeyPrefix {
+        let mut h = Sha256::new();
+        h.update(key_head(bench, mode).as_bytes());
+        h.update(source.as_bytes());
+        KeyPrefix(h)
+    }
+
+    /// The cache key of this program under `config`; equal to
+    /// [`cache_key`] of the same inputs.
+    pub fn key(&self, config: &MachineConfig) -> String {
+        let mut h = self.0.clone();
+        h.update(key_tail(config).as_bytes());
+        h.finish()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -218,23 +317,12 @@ impl ResultCache {
     }
 
     /// Looks up `key`. Every failure mode — absent, truncated,
-    /// corrupted, wrong schema, wrong embedded key — returns `None`
-    /// (a miss), never an error: the cache is advisory.
+    /// corrupted, wrong schema, wrong embedded key, or any layout other
+    /// than the one [`ResultCache::store`] writes — returns `None` (a
+    /// miss), never an error: the cache is advisory.
     pub fn lookup(&self, key: &str) -> Option<CachedResult> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let v = parse_json(&text).ok()?;
-        if v.get("schema")?.as_u64()? != u64::from(CACHE_SCHEMA_VERSION) {
-            return None;
-        }
-        if v.get("key")?.as_str()? != key {
-            return None;
-        }
-        let peak_registers = v.get("peak_registers")?.as_u32()?;
-        let stats = stats_from_value(v.get("stats")?).ok()?;
-        Some(CachedResult {
-            stats,
-            peak_registers,
-        })
+        decode_entry(&text, key)
     }
 
     /// Stores a result under `key`, atomically (write temp + rename):
@@ -282,6 +370,29 @@ impl ResultCache {
     }
 }
 
+/// Reads an entry in [`ResultCache::store`]'s layout, member by member
+/// in its fixed order, with the stats decoded in place.
+fn decode_entry(text: &str, key: &str) -> Option<CachedResult> {
+    let mut c = Cursor::new(text);
+    c.lit("{\"schema\":")?;
+    if c.u64()? != u64::from(CACHE_SCHEMA_VERSION) {
+        return None;
+    }
+    c.lit(",\"key\":\"")?;
+    c.lit(key)?;
+    c.lit("\",\"cell\":")?;
+    c.skip_str()?;
+    c.lit(",\"peak_registers\":")?;
+    let peak_registers = c.u32()?;
+    c.lit(",\"stats\":")?;
+    let stats = decode_stats(&mut c)?;
+    c.lit("}\n")?;
+    c.at_end().then_some(CachedResult {
+        stats,
+        peak_registers,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,23 +400,92 @@ mod tests {
 
     #[test]
     fn sha256_matches_known_vectors() {
-        // FIPS 180-2 test vectors.
+        // FIPS 180-2 test vectors, one-shot and fed in pieces.
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            // Two blocks once padded.
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for (msg, want) in vectors {
+            assert_eq!(sha256_hex(msg), want);
+            let mut h = Sha256::new();
+            for byte in msg {
+                h.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(h.finish(), want);
+        }
+        // Padding edges: after 55 (or 119) bytes the padding and length
+        // still fit in the last block; after 56 (or 120) they spill into
+        // one more.
+        for (n, want) in [
+            (
+                55,
+                "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072",
+            ),
+            (
+                56,
+                "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e",
+            ),
+            (
+                63,
+                "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2",
+            ),
+            (
+                64,
+                "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c",
+            ),
+            (
+                65,
+                "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9",
+            ),
+            (
+                119,
+                "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c",
+            ),
+            (
+                120,
+                "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98",
+            ),
+        ] {
+            assert_eq!(sha256_hex(&vec![b'x'; n]), want, "{n} bytes of x");
+        }
+        // One million `a`s, in 1000-byte pieces that straddle blocks.
+        let mut h = Sha256::new();
+        for _ in 0..1000 {
+            h.update(&[b'a'; 1000]);
+        }
         assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+            h.finish(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Padding edge: 55/56/64-byte messages straddle the length block.
-        for n in [55, 56, 63, 64, 65] {
-            let m = vec![b'x'; n];
-            assert_eq!(sha256_hex(&m).len(), 64);
+    }
+
+    #[test]
+    fn sha256_update_splits_like_one_shot() {
+        let msg: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        // Every length, so the padding meets every partial-block fill.
+        for n in 0..=msg.len() {
+            let whole = sha256_hex(&msg[..n]);
+            for split in 0..=n {
+                let mut h = Sha256::new();
+                h.update(&msg[..split]);
+                // A copy of the state finishes like the original.
+                let mut copy = h.clone();
+                h.update(&msg[split..n]);
+                assert_eq!(h.finish(), whole, "length {n}, split at {split}");
+                copy.update(&msg[split..n]);
+                assert_eq!(copy.finish(), whole, "copy, length {n}, split at {split}");
+            }
         }
     }
 

@@ -7,9 +7,11 @@
 //! report time), so a canonical integer encoding round-trips exactly —
 //! no float formatting, no non-deterministic map order (`BTreeMap`s
 //! iterate sorted), no locale. The writer emits one fixed field order
-//! with no whitespace; the reader is a small recursive-descent JSON
-//! parser, so a truncated or corrupted cache entry surfaces as a clean
-//! `Err` (→ cache miss → recompute), never a panic.
+//! with no whitespace, and the reader decodes exactly that layout with a
+//! byte cursor, so a truncated, corrupted or reordered document
+//! surfaces as a clean `Err` (→ cache miss → recompute), never a panic.
+//! The general JSON parser here ([`parse_json`]) serves the manifests
+//! and JSONL rows.
 
 use pc_isa::UnitClass;
 use pc_memsys::MemStats;
@@ -17,7 +19,7 @@ use pc_sim::probe::StallCause;
 use pc_sim::{ProbeRecord, RunStats, StallTable, ThreadStalls};
 use pc_xconn::XconnStats;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------------
 // Minimal JSON value model + parser
@@ -85,6 +87,39 @@ impl Json {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Json {
+    /// Compact JSON text: no whitespace, members in their stored order,
+    /// numbers as their raw tokens.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(raw) => f.write_str(raw),
+            Json::Str(s) => write!(f, "\"{}\"", escape_json(s)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(members) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "\"{}\":{v}", escape_json(k))?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -292,13 +327,6 @@ fn class_key(c: UnitClass) -> &'static str {
     c.label()
 }
 
-fn class_from_key(k: &str) -> Result<UnitClass, String> {
-    UnitClass::all()
-        .into_iter()
-        .find(|c| c.label() == k)
-        .ok_or_else(|| format!("unknown unit class {k:?}"))
-}
-
 fn write_u64_arr(out: &mut String, xs: impl IntoIterator<Item = u64>) {
     out.push('[');
     for (i, x) in xs.into_iter().enumerate() {
@@ -411,191 +439,300 @@ pub fn stats_to_json(stats: &RunStats) -> String {
     o
 }
 
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+// ---------------------------------------------------------------------
+// Canonical decoding
+// ---------------------------------------------------------------------
+
+/// A byte cursor over text in the writers' canonical layout: members in
+/// their fixed order, no whitespace, integers with no sign, fraction or
+/// leading zero. Every read returns `None` at the first byte that
+/// deviates, so a decoder built on it either reads back exactly the
+/// document the writer would emit or stops, never building a [`Json`]
+/// tree on the way.
+#[derive(Debug)]
+pub(super) struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn u64_arr(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array {key:?}"))?
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| format!("non-integer in {key:?}")))
-        .collect()
-}
-
-fn cause_arr_from(v: &Json, what: &str) -> Result<[u64; StallCause::COUNT], String> {
-    let items = v
-        .as_arr()
-        .ok_or_else(|| format!("{what}: expected an array"))?;
-    if items.len() != StallCause::COUNT {
-        return Err(format!(
-            "{what}: expected {} causes, got {}",
-            StallCause::COUNT,
-            items.len()
-        ));
+impl<'a> Cursor<'a> {
+    pub(super) fn new(text: &'a str) -> Cursor<'a> {
+        Cursor { text, pos: 0 }
     }
-    let mut out = [0u64; StallCause::COUNT];
-    for (i, x) in items.iter().enumerate() {
-        out[i] = x
-            .as_u64()
-            .ok_or_else(|| format!("{what}: non-integer cause count"))?;
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-    Ok(out)
-}
 
-fn slot_key(k: &str) -> Result<(u32, u32, u16), String> {
-    let mut parts = k.split(':');
-    let bad = || format!("bad slot key {k:?}");
-    let seg = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-    let row = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-    let slot = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-    if parts.next().is_some() {
-        return Err(bad());
+    /// True once every byte has been read.
+    pub(super) fn at_end(&self) -> bool {
+        self.pos == self.text.len()
     }
-    Ok((seg, row, slot))
+
+    /// Consumes `lit` exactly.
+    pub(super) fn lit(&mut self, lit: &str) -> Option<()> {
+        let rest = self.text.as_bytes().get(self.pos..)?;
+        rest.starts_with(lit.as_bytes())
+            .then(|| self.pos += lit.len())
+    }
+
+    /// A canonical unsigned integer that fits in `u64`.
+    pub(super) fn u64(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut n = 0u64;
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+            self.pos += 1;
+        }
+        match self.pos - start {
+            0 => None,
+            1 => Some(n),
+            _ => (self.text.as_bytes()[start] != b'0').then_some(n),
+        }
+    }
+
+    /// A canonical integer that fits in `u32`: a wider value is
+    /// malformed input, not something to truncate.
+    pub(super) fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.u64()?).ok()
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
+    }
+
+    /// `lit` followed by an integer: one `"name":N` step of a layout.
+    fn after(&mut self, lit: &str) -> Option<u64> {
+        self.lit(lit)?;
+        self.u64()
+    }
+
+    /// A string with no escapes (a member name or label), unquoted.
+    fn plain_str(&mut self) -> Option<&'a str> {
+        self.lit("\"")?;
+        let start = self.pos;
+        let len = self.text.as_bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        self.pos = start + len;
+        self.lit("\"")?;
+        self.text.get(start..start + len)
+    }
+
+    /// Skips one string as [`escape_json`] writes it.
+    pub(super) fn skip_str(&mut self) -> Option<()> {
+        self.lit("\"")?;
+        loop {
+            match self.peek()? {
+                b'"' => {
+                    self.pos += 1;
+                    return Some(());
+                }
+                b'\\' => self.pos += 2,
+                b if b < 0x20 => return None,
+                _ => self.pos += 1,
+            }
+        }
+    }
+
+    /// `[item,…]`, reading each element with `item`.
+    fn list(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.lit("[")?;
+        if self.lit("]").is_some() {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            if self.lit("]").is_some() {
+                return Some(());
+            }
+            self.lit(",")?;
+        }
+    }
+
+    /// `{"name":value,…}`, reading each value with `member`.
+    fn members(&mut self, mut member: impl FnMut(&mut Self, &'a str) -> Option<()>) -> Option<()> {
+        self.lit("{")?;
+        if self.lit("}").is_some() {
+            return Some(());
+        }
+        loop {
+            let name = self.plain_str()?;
+            self.lit(":")?;
+            member(self, name)?;
+            if self.lit("}").is_some() {
+                return Some(());
+            }
+            self.lit(",")?;
+        }
+    }
+
+    fn u64_list(&mut self) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        self.list(|c| {
+            out.push(c.u64()?);
+            Some(())
+        })?;
+        Some(out)
+    }
+
+    /// A per-cause count array: exactly [`StallCause::COUNT`] integers.
+    fn causes(&mut self) -> Option<[u64; StallCause::COUNT]> {
+        let mut out = [0u64; StallCause::COUNT];
+        self.lit("[")?;
+        for (i, n) in out.iter_mut().enumerate() {
+            if i > 0 {
+                self.lit(",")?;
+            }
+            *n = self.u64()?;
+        }
+        self.lit("]")?;
+        Some(out)
+    }
 }
 
-/// Parses [`stats_to_json`] output back into a [`RunStats`].
-///
-/// # Errors
-/// A description of the first malformed or missing field; callers treat
-/// any error as a cache miss.
-pub fn stats_from_json(text: &str) -> Result<RunStats, String> {
-    stats_from_value(&parse_json(text)?)
+/// Adds `key` to a map being read in canonical order, where every key
+/// is greater than the one before: a repeat or a reordering is `None`.
+fn push_ascending<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) -> Option<()> {
+    if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
+        return None;
+    }
+    map.insert(key, value);
+    Some(())
 }
 
-/// Decodes a [`RunStats`] from an already-parsed JSON value.
-///
-/// # Errors
-/// A description of the first malformed or missing field.
-pub fn stats_from_value(v: &Json) -> Result<RunStats, String> {
+fn class_from_key(k: &str) -> Option<UnitClass> {
+    UnitClass::all().into_iter().find(|c| c.label() == k)
+}
+
+/// A `seg:row:slot` member name.
+fn slot_key(k: &str) -> Option<(u32, u32, u16)> {
+    let mut c = Cursor::new(k);
+    let seg = c.u32()?;
+    let row = c.lit(":").and_then(|()| c.u32())?;
+    let slot = c.lit(":").and_then(|()| c.u64())?;
+    let slot = u16::try_from(slot).ok()?;
+    c.at_end().then_some((seg, row, slot))
+}
+
+/// Reads [`stats_to_json`]'s layout at the cursor. This is the one
+/// stats decoder: cache entries, JSONL rows and [`stats_from_json`] all
+/// come through it.
+pub(super) fn decode_stats(c: &mut Cursor<'_>) -> Option<RunStats> {
+    let cycles = c.after("{\"cycles\":")?;
+    let ops_issued = c.after(",\"ops_issued\":")?;
+    c.lit(",\"ops_by_class\":")?;
     let mut ops_by_class = BTreeMap::new();
-    for (k, n) in v
-        .get("ops_by_class")
-        .and_then(Json::members)
-        .ok_or("missing ops_by_class")?
-    {
-        ops_by_class.insert(
-            class_from_key(k)?,
-            n.as_u64().ok_or("non-integer ops_by_class count")?,
-        );
-    }
-    let probes = v
-        .get("probes")
-        .and_then(Json::as_arr)
-        .ok_or("missing probes")?
-        .iter()
-        .map(|p| {
-            let t = p.as_arr().filter(|a| a.len() == 3).ok_or("bad probe")?;
-            Ok(ProbeRecord {
-                thread: t[0].as_u32().ok_or("bad probe thread")?,
-                id: t[1].as_u32().ok_or("bad probe id")?,
-                cycle: t[2].as_u64().ok_or("bad probe cycle")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let mem_v = v.get("mem").ok_or("missing mem")?;
+    c.members(|c, k| push_ascending(&mut ops_by_class, class_from_key(k)?, c.u64()?))?;
+    c.lit(",\"ops_by_thread\":")?;
+    let ops_by_thread = c.u64_list()?;
+    c.lit(",\"ops_by_unit\":")?;
+    let ops_by_unit = c.u64_list()?;
+    c.lit(",\"threads_spawned\":")?;
+    let threads_spawned = c.usize()?;
+    c.lit(",\"probes\":")?;
+    let mut probes = Vec::new();
+    c.list(|c| {
+        probes.push(ProbeRecord {
+            thread: c.lit("[").and_then(|()| c.u32())?,
+            id: c.lit(",").and_then(|()| c.u32())?,
+            cycle: c.after(",")?,
+        });
+        c.lit("]")
+    })?;
     let mem = MemStats {
-        loads: need_u64(mem_v, "loads")?,
-        stores: need_u64(mem_v, "stores")?,
-        misses: need_u64(mem_v, "misses")?,
-        parked: need_u64(mem_v, "parked")?,
-        parked_cycles: need_u64(mem_v, "parked_cycles")?,
-        peak_in_flight: need_u64(mem_v, "peak_in_flight")? as usize,
-        bank_wait_cycles: need_u64(mem_v, "bank_wait_cycles")?,
+        loads: c.after(",\"mem\":{\"loads\":")?,
+        stores: c.after(",\"stores\":")?,
+        misses: c.after(",\"misses\":")?,
+        parked: c.after(",\"parked\":")?,
+        parked_cycles: c.after(",\"parked_cycles\":")?,
+        peak_in_flight: usize::try_from(c.after(",\"peak_in_flight\":")?).ok()?,
+        bank_wait_cycles: c.after(",\"bank_wait_cycles\":")?,
     };
-    let xconn_v = v.get("xconn").ok_or("missing xconn")?;
     let xconn = XconnStats {
-        grants: need_u64(xconn_v, "grants")?,
-        denials: need_u64(xconn_v, "denials")?,
-        remote_grants: need_u64(xconn_v, "remote_grants")?,
-        denied_port_full: need_u64(xconn_v, "denied_port_full")?,
-        denied_bus_busy: need_u64(xconn_v, "denied_bus_busy")?,
+        grants: c.after("},\"xconn\":{\"grants\":")?,
+        denials: c.after(",\"denials\":")?,
+        remote_grants: c.after(",\"remote_grants\":")?,
+        denied_port_full: c.after(",\"denied_port_full\":")?,
+        denied_bus_busy: c.after(",\"denied_bus_busy\":")?,
     };
-    let thread_spans = v
-        .get("thread_spans")
-        .and_then(Json::as_arr)
-        .ok_or("missing thread_spans")?
-        .iter()
-        .map(|p| {
-            let t = p.as_arr().filter(|a| a.len() == 2).ok_or("bad span")?;
-            Ok((
-                t[0].as_u64().ok_or("bad span start")?,
-                t[1].as_u64().ok_or("bad span end")?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let st = v.get("stalls").ok_or("missing stalls")?;
-    let threads = st
-        .get("threads")
-        .and_then(Json::as_arr)
-        .ok_or("missing stalls.threads")?
-        .iter()
-        .map(|t| {
-            let a = t
-                .as_arr()
-                .filter(|a| a.len() == 3)
-                .ok_or("bad thread stalls")?;
-            Ok(ThreadStalls {
-                alive: a[0].as_u64().ok_or("bad alive")?,
-                busy: a[1].as_u64().ok_or("bad busy")?,
-                by_cause: cause_arr_from(&a[2], "thread by_cause")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    c.lit("},\"thread_spans\":")?;
+    let mut thread_spans = Vec::new();
+    c.list(|c| {
+        thread_spans.push((c.after("[")?, c.after(",")?));
+        c.lit("]")
+    })?;
+    let busy_cycles = c.after(",\"busy_cycles\":")?;
+    c.lit(",\"peak_threads\":")?;
+    let peak_threads = c.usize()?;
+    c.lit(",\"stalls\":{\"threads\":")?;
+    let mut threads = Vec::new();
+    c.list(|c| {
+        threads.push(ThreadStalls {
+            alive: c.after("[")?,
+            busy: c.after(",")?,
+            by_cause: c.lit(",").and_then(|()| c.causes())?,
+        });
+        c.lit("]")
+    })?;
+    c.lit(",\"by_class\":")?;
     let mut by_class = BTreeMap::new();
-    for (k, a) in st
-        .get("by_class")
-        .and_then(Json::members)
-        .ok_or("missing stalls.by_class")?
-    {
-        by_class.insert(class_from_key(k)?, cause_arr_from(a, "by_class")?);
-    }
+    c.members(|c, k| push_ascending(&mut by_class, class_from_key(k)?, c.causes()?))?;
+    c.lit(",\"by_slot\":")?;
     let mut by_slot = BTreeMap::new();
-    for (k, a) in st
-        .get("by_slot")
-        .and_then(Json::members)
-        .ok_or("missing stalls.by_slot")?
-    {
-        by_slot.insert(slot_key(k)?, cause_arr_from(a, "by_slot")?);
-    }
+    c.members(|c, k| push_ascending(&mut by_slot, slot_key(k)?, c.causes()?))?;
+    c.lit(",\"unattributed\":")?;
+    let unattributed = c.causes()?;
+    c.lit(",\"issued_by_slot\":")?;
     let mut issued_by_slot = BTreeMap::new();
-    for (k, n) in st
-        .get("issued_by_slot")
-        .and_then(Json::members)
-        .ok_or("missing stalls.issued_by_slot")?
-    {
-        issued_by_slot.insert(slot_key(k)?, n.as_u64().ok_or("non-integer issue count")?);
-    }
-    let stalls = StallTable {
-        threads,
-        by_class,
-        by_slot,
-        unattributed: cause_arr_from(
-            st.get("unattributed")
-                .ok_or("missing stalls.unattributed")?,
-            "unattributed",
-        )?,
-        issued_by_slot,
-    };
-    Ok(RunStats {
-        cycles: need_u64(v, "cycles")?,
-        ops_issued: need_u64(v, "ops_issued")?,
+    c.members(|c, k| push_ascending(&mut issued_by_slot, slot_key(k)?, c.u64()?))?;
+    c.lit("}}")?;
+    Some(RunStats {
+        cycles,
+        ops_issued,
         ops_by_class,
-        ops_by_thread: u64_arr(v, "ops_by_thread")?,
-        ops_by_unit: u64_arr(v, "ops_by_unit")?,
-        threads_spawned: need_u64(v, "threads_spawned")? as usize,
+        ops_by_thread,
+        ops_by_unit,
+        threads_spawned,
         probes,
         mem,
         xconn,
         thread_spans,
-        busy_cycles: need_u64(v, "busy_cycles")?,
-        peak_threads: need_u64(v, "peak_threads")? as usize,
-        stalls,
+        busy_cycles,
+        peak_threads,
+        stalls: StallTable {
+            threads,
+            by_class,
+            by_slot,
+            unattributed,
+            issued_by_slot,
+        },
     })
+}
+
+/// Parses [`stats_to_json`] output back into a [`RunStats`]. Only the
+/// canonical layout reads back: reordered members, whitespace or a
+/// number written another way are errors.
+///
+/// # Errors
+/// The byte offset where the text leaves the canonical layout; callers
+/// treat any error as a cache miss.
+pub fn stats_from_json(text: &str) -> Result<RunStats, String> {
+    let mut c = Cursor::new(text);
+    decode_stats(&mut c)
+        .filter(|_| c.at_end())
+        .ok_or_else(|| format!("not canonical stats JSON at byte {}", c.pos))
+}
+
+/// Decodes a [`RunStats`] from an already-parsed JSON value by writing
+/// it back as compact text and reading that with [`stats_from_json`]
+/// ([`Json`] keeps member order and raw number tokens, so a canonical
+/// document comes back byte for byte).
+///
+/// # Errors
+/// As [`stats_from_json`].
+pub fn stats_from_value(v: &Json) -> Result<RunStats, String> {
+    stats_from_json(&v.to_string())
 }
 
 #[cfg(test)]
@@ -688,6 +825,81 @@ mod tests {
         assert!(parse_json(&at_limit).is_ok());
         let past_limit = format!("[{at_limit}]");
         assert!(parse_json(&past_limit).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn only_the_canonical_layout_decodes() {
+        let json = stats_to_json(&populated_stats());
+        let reject = |bad: String, what: &str| {
+            assert_ne!(bad, json, "{what}: the edit did not apply");
+            assert!(stats_from_json(&bad).is_err(), "{what} must not decode");
+        };
+        reject(
+            json.replacen(
+                "\"cycles\":1234,\"ops_issued\":30",
+                "\"ops_issued\":30,\"cycles\":1234",
+                1,
+            ),
+            "reordered members",
+        );
+        reject(json.replacen(':', ": ", 1), "whitespace");
+        reject(json.replacen(":1234", ":01234", 1), "a leading zero");
+        reject(json.replacen(":1234", ":1234.0", 1), "a fraction");
+        reject(json.replacen(":1234", ":-1234", 1), "a sign");
+        reject(format!("{json} "), "trailing content");
+        reject(
+            json.replacen("\"IU\":10,\"FPU\":20", "\"FPU\":20,\"IU\":10", 1),
+            "map keys out of order",
+        );
+        reject(
+            json.replacen("\"IU\":10,\"FPU\":20", "\"IU\":10,\"IU\":20", 1),
+            "a repeated map key",
+        );
+        reject(
+            json.replacen(":1234", ":18446744073709551616", 1),
+            "a count past u64::MAX",
+        );
+        reject(
+            json.replacen("[1,7,99]", "[1,4294967296,99]", 1),
+            "a probe id past u32::MAX",
+        );
+        reject(
+            json.replacen("\"1:2:3\"", "\"1:2:65536\"", 1),
+            "a slot past u16::MAX",
+        );
+        reject(
+            json.replacen("\"1:2:3\"", "\"1:2:3:4\"", 1),
+            "a four-part slot",
+        );
+        reject(
+            json.replacen("\"unattributed\":[", "\"unattributed\":[0,", 1),
+            "an extra cause",
+        );
+        // The widest values that fit still decode.
+        let mut wide = populated_stats();
+        wide.cycles = u64::MAX;
+        wide.probes[0].id = u32::MAX;
+        wide.stalls
+            .issued_by_slot
+            .insert((u32::MAX, 0, u16::MAX), 0);
+        assert_eq!(stats_from_json(&stats_to_json(&wide)), Ok(wide));
+    }
+
+    #[test]
+    fn value_and_text_decoding_agree() {
+        let stats = populated_stats();
+        let json = stats_to_json(&stats);
+        let tree = parse_json(&json).unwrap();
+        assert_eq!(tree.to_string(), json, "a canonical document prints back");
+        assert_eq!(stats_from_value(&tree), Ok(stats));
+        // A tree decodes only if its compact text is canonical.
+        let spaced = parse_json(&json.replacen(',', " , ", 3)).unwrap();
+        assert_eq!(stats_from_value(&spaced), stats_from_json(&json));
+        let Json::Obj(mut members) = tree else {
+            panic!("stats are an object")
+        };
+        members.swap(0, 1);
+        assert!(stats_from_value(&Json::Obj(members)).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Rows are flushed in **cell order** through a reorder buffer, so even
 //! the byte order of a given run's output is deterministic.
 
-use super::cache::{cache_key, CachedResult, ResultCache};
+use super::cache::{CachedResult, KeyPrefix, ResultCache};
 use super::codec::{escape_json, parse_json, stats_from_value, stats_to_json, Json};
 use super::pool::run_pool;
 use super::telemetry::SweepTelemetry;
@@ -677,6 +677,18 @@ fn scan_jsonl(path: &Path) -> (BTreeSet<String>, bool) {
 // The engine
 // ---------------------------------------------------------------------
 
+/// What a sweep resolves once per distinct (bench, mode) rather than
+/// once per cell.
+struct Program<'a> {
+    name: &'a str,
+    mode: MachineMode,
+    bench: &'a Benchmark,
+    source: &'a str,
+    /// The hashed head of the cells' cache keys, when the sweep has a
+    /// cache.
+    key: Option<KeyPrefix>,
+}
+
 /// Runs a sweep.
 ///
 /// Work-stealing across `opts.jobs` threads; each pending cell first
@@ -740,13 +752,34 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         Some(dir) => Some(ResultCache::open(dir)?),
         None => None,
     };
+    // Resolve each (bench, mode) once per sweep: its benchmark, source,
+    // and (with a cache) the hashed head of its cells' keys.
     let suite = benchmarks::all();
-    let bench_of = |name: &str| -> &Benchmark {
-        suite
+    let mut programs: Vec<Program> = Vec::new();
+    let mut program_of = Vec::with_capacity(pending.len());
+    for cell in &pending {
+        let known = programs
             .iter()
-            .find(|b| b.name.to_lowercase() == name)
-            .expect("cells() validated benchmark names")
-    };
+            .position(|p| p.mode == cell.mode && p.name == cell.bench);
+        program_of.push(known.unwrap_or_else(|| {
+            let bench = suite
+                .iter()
+                .find(|b| b.name.to_lowercase() == cell.bench)
+                .expect("cells() validated benchmark names");
+            let source = bench.source(cell.mode).expect("cells() filtered modes");
+            programs.push(Program {
+                name: &cell.bench,
+                mode: cell.mode,
+                bench,
+                source,
+                key: cache
+                    .as_ref()
+                    .map(|_| KeyPrefix::new(&cell.bench, cell.mode, source)),
+            });
+            programs.len() - 1
+        }));
+    }
+    let pending: Vec<(&SweepCell, usize)> = pending.into_iter().zip(program_of).collect();
 
     let mut sink: Option<std::io::BufWriter<std::fs::File>> = match &opts.out {
         Some(path) => {
@@ -779,15 +812,11 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         });
     let tel_ref = tel.as_deref();
     let memo = CompileMemo::default();
-    let run_cell = |cell: &&SweepCell| -> Result<SweepRow, (String, RunError)> {
-        let cell = *cell;
-        let bench = bench_of(&cell.bench);
-        let source = bench.source(cell.mode).expect("cells() filtered modes");
+    let run_cell = |&(cell, i): &(&SweepCell, usize)| -> Result<SweepRow, (String, RunError)> {
+        let program = &programs[i];
         let config = cell.config();
         let t0 = Instant::now();
-        let key = cache
-            .as_ref()
-            .map(|_| cache_key(&cell.bench, cell.mode, source, &config));
+        let key = program.key.as_ref().map(|prefix| prefix.key(&config));
         if let (Some(cache), Some(key)) = (&cache, &key) {
             let hit = cache.lookup(key);
             let lookup_ns = t0.elapsed().as_nanos() as u64;
@@ -813,7 +842,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             t.cache_misses.inc();
         }
         let (image, compile_ns) = memo.get(
-            source,
+            program.source,
             cell.mode.schedule_mode(),
             CompileOptions::default(),
             &config,
@@ -829,7 +858,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         }
         let out = image
             .map_err(RunError::Compile)
-            .and_then(|image| run_compiled(bench, &image, config, &Observe::default()))
+            .and_then(|image| run_compiled(program.bench, &image, config, &Observe::default()))
             .map_err(|e| (cell.id(), e))?;
         if let (Some(cache), Some(key)) = (&cache, &key) {
             // A failed store must not fail the sweep — the result is in
