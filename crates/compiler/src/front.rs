@@ -17,7 +17,8 @@ use crate::ast::{
 };
 use crate::error::{CompileError, Result};
 use crate::sexpr::{self, Atom, Node, Sexpr};
-use pc_isa::{LoadFlavor, StoreFlavor};
+use pc_isa::op::{eval_float, eval_int};
+use pc_isa::{FloatOp, IntOp, LoadFlavor, StoreFlavor, Value};
 use std::collections::HashMap;
 
 /// Maximum procedure-expansion depth (procedures may not recurse).
@@ -92,6 +93,7 @@ pub fn expand(src: &str) -> Result<Module> {
         scopes: vec![HashMap::new()],
         gensym: 0,
         depth: 0,
+        nest: 0,
         loops: Vec::new(),
         loop_stack: Vec::new(),
     };
@@ -149,29 +151,36 @@ fn eval_const(sx: &Sexpr, consts: &HashMap<String, Expr>) -> Result<Expr> {
             let op = xs[0].sym()?;
             let a = eval_const(&xs[1], consts)?;
             let b = eval_const(&xs[2], consts)?;
-            match (a, b) {
+            let bad = || CompileError::at(sx.line, "bad constant expression");
+            // Folded by the ISA's evaluators, so a constant wraps and
+            // rejects a zero divisor exactly as the machine would.
+            let v = match (a, b) {
                 (Expr::Int(a), Expr::Int(b)) => {
-                    let v = match op {
-                        "+" => a + b,
-                        "-" => a - b,
-                        "*" => a * b,
-                        "/" if b != 0 => a / b,
-                        "%" if b != 0 => a % b,
-                        _ => return Err(CompileError::at(sx.line, "bad constant expression")),
+                    let op = match op {
+                        "+" => IntOp::Add,
+                        "-" => IntOp::Sub,
+                        "*" => IntOp::Mul,
+                        "/" => IntOp::Div,
+                        "%" => IntOp::Rem,
+                        _ => return Err(bad()),
                     };
-                    Ok(Expr::Int(v))
+                    eval_int(op, &[Value::Int(a), Value::Int(b)])
                 }
                 (Expr::Float(a), Expr::Float(b)) => {
-                    let v = match op {
-                        "+" => a + b,
-                        "-" => a - b,
-                        "*" => a * b,
-                        "/" => a / b,
-                        _ => return Err(CompileError::at(sx.line, "bad constant expression")),
+                    let op = match op {
+                        "+" => FloatOp::Fadd,
+                        "-" => FloatOp::Fsub,
+                        "*" => FloatOp::Fmul,
+                        "/" => FloatOp::Fdiv,
+                        _ => return Err(bad()),
                     };
-                    Ok(Expr::Float(v))
+                    eval_float(op, &[Value::Float(a), Value::Float(b)])
                 }
-                _ => Err(CompileError::at(sx.line, "mixed-type constant expression")),
+                _ => return Err(CompileError::at(sx.line, "mixed-type constant expression")),
+            };
+            match v.map_err(|_| bad())? {
+                Value::Int(i) => Ok(Expr::Int(i)),
+                Value::Float(f) => Ok(Expr::Float(f)),
             }
         }
         _ => Err(CompileError::at(sx.line, "bad constant expression")),
@@ -185,6 +194,10 @@ struct Ctx {
     scopes: Vec<HashMap<String, String>>,
     gensym: u64,
     depth: usize,
+    /// Depth of the AST node being built. Inlining and n-ary folds can
+    /// nest the expansion deeper than the source's lists, so it is
+    /// capped at [`sexpr::MAX_NESTING`] as the reader caps those.
+    nest: usize,
     /// Source loops in discovery order (becomes [`Module::loops`]).
     loops: Vec<LoopMeta>,
     /// Innermost-last stack of enclosing loop ids.
@@ -234,6 +247,19 @@ impl Ctx {
         self.loop_stack.pop();
     }
 
+    /// Goes `levels` deeper into the AST being built; callers subtract
+    /// them again once the node is built.
+    fn descend(&mut self, line: u32, levels: usize) -> Result<()> {
+        self.nest += levels;
+        if self.nest > sexpr::MAX_NESTING {
+            return Err(CompileError::at(
+                line,
+                format!("expansion nests deeper than {} levels", sexpr::MAX_NESTING),
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds one statement, stamping it with its source span and the
     /// innermost enclosing loop at the *call site* (so statements inlined
     /// from procedures attribute to the loop that executes them).
@@ -243,14 +269,16 @@ impl Ctx {
             col: sx.col,
             loop_id: self.loop_stack.last().copied(),
         };
+        self.descend(sx.line, 1)?;
         let node = self.stmt_node(sx)?;
+        self.nest -= 1;
         Ok(Spanned { span, node })
     }
 
     fn stmt_node(&mut self, sx: &Sexpr) -> Result<Stmt> {
         let Some(head) = sx.head() else {
             // Bare expression statement (atom or non-symbol-headed list).
-            return Ok(Stmt::Expr(self.expr(sx)?));
+            return Ok(Stmt::Expr(self.expr_node(sx)?));
         };
         let xs = sx.list()?;
         match head {
@@ -412,7 +440,7 @@ impl Ctx {
                 Ok(Stmt::Probe(id))
             }
             name if self.defuns.contains_key(name) => self.inline_call(sx),
-            _ => Ok(Stmt::Expr(self.expr(sx)?)),
+            _ => Ok(Stmt::Expr(self.expr_node(sx)?)),
         }
     }
 
@@ -455,6 +483,13 @@ impl Ctx {
     }
 
     fn expr(&mut self, sx: &Sexpr) -> Result<Expr> {
+        self.descend(sx.line, 1)?;
+        let e = self.expr_node(sx)?;
+        self.nest -= 1;
+        Ok(e)
+    }
+
+    fn expr_node(&mut self, sx: &Sexpr) -> Result<Expr> {
         match &sx.node {
             Node::Atom(Atom::Int(i)) => Ok(Expr::Int(*i)),
             Node::Atom(Atom::Float(f)) => Ok(Expr::Float(*f)),
@@ -485,11 +520,15 @@ impl Ctx {
                             ));
                         }
                         let op = bin_op(head).expect("matched above");
-                        // Left-fold n-ary +, *, and, or.
+                        // Left-fold n-ary +, *, and, or: each operand
+                        // past the second stacks one more node.
+                        let folds = xs.len() - 3;
+                        self.descend(sx.line, folds)?;
                         let mut acc = self.expr(&xs[1])?;
                         for x in &xs[2..] {
                             acc = Expr::Bin(op, Box::new(acc), Box::new(self.expr(x)?));
                         }
+                        self.nest -= folds;
                         if xs.len() > 3
                             && !matches!(op, BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or)
                         {
@@ -597,6 +636,24 @@ mod tests {
             Stmt::Set { value, .. } => assert_eq!(*value, Expr::Int(81)),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn consts_wrap_like_the_machine() {
+        for (expr, want) in [
+            ("(/ -9223372036854775808 -1)", i64::MIN),
+            ("(% -9223372036854775808 -1)", 0),
+            ("(* 9223372036854775807 2)", -2),
+            ("(+ 9223372036854775807 1)", i64::MIN),
+        ] {
+            let m = expand(&format!("(const c {expr}) (defun main () (set x c))")).unwrap();
+            match &m.main[0].node {
+                Stmt::Set { value, .. } => assert_eq!(*value, Expr::Int(want), "{expr}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        let err = expand("(const c (/ 1 0)) (defun main () (set x c))").unwrap_err();
+        assert!(err.msg.contains("bad constant"), "{err}");
     }
 
     #[test]

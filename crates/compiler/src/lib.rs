@@ -358,4 +358,88 @@ mod tests {
         .is_err());
         assert!(compile("(no-main)", &baseline(), ScheduleMode::Single).is_err());
     }
+
+    /// A `main` whose deepest list sits `depth` levels down: the
+    /// `defun` is level 1, each `open` adds a level, and the list
+    /// `leaf` is the last. The chain starts on line 3.
+    fn nested(depth: usize, open: &str, leaf: &str) -> String {
+        let n = depth - 2;
+        let src = format!(
+            "(global out int)\n(defun main ()\n{}{leaf}{})",
+            open.repeat(n),
+            ")".repeat(n)
+        );
+        let mut level = 0usize;
+        let mut deepest = 0;
+        for c in src.chars() {
+            match c {
+                '(' => {
+                    level += 1;
+                    deepest = deepest.max(level);
+                }
+                ')' => level -= 1,
+                _ => {}
+            }
+        }
+        assert_eq!(deepest, depth);
+        src
+    }
+
+    #[test]
+    fn nesting_at_the_cap_compiles() {
+        let cap = sexpr::MAX_NESTING;
+        for (open, leaf) in [
+            ("(+ 1 ", "(+ 1 1)"),
+            ("(if 1 ", "(set out 1)"),
+            ("(let () ", "(set out 1)"),
+        ] {
+            compile(
+                &nested(cap, open, leaf),
+                &baseline(),
+                ScheduleMode::Unrestricted,
+            )
+            .unwrap_or_else(|e| panic!("{open}… at the cap: {e}"));
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        let src = nested(sexpr::MAX_NESTING + 1, "(if 1 ", "(set out 1)");
+        let err = compile(&src, &baseline(), ScheduleMode::Unrestricted).unwrap_err();
+        assert!(err.msg.contains("nest deeper than 128"), "{err}");
+        assert_eq!(err.line, Some(3));
+        let err = compile(&"(".repeat(50_000), &baseline(), ScheduleMode::Single).unwrap_err();
+        assert!(err.msg.contains("nest deeper"), "{err}");
+    }
+
+    #[test]
+    fn expansion_is_capped_like_the_source() {
+        // `main` calls p1, each pK calls pK+1, and p60 nests `lets`
+        // statements: every source list is shallow, but inlining stacks
+        // the 60 call statements under p60's body.
+        let chain = |lets: usize| {
+            let mut src = String::from("(global out int) (defun main () (p1))");
+            for k in 1..60 {
+                src += &format!(" (defun p{k} () (p{}))", k + 1);
+            }
+            src += &format!(
+                " (defun p60 () {}(set out 1){})",
+                "(let () ".repeat(lets),
+                ")".repeat(lets)
+            );
+            src
+        };
+        // 60 calls + 66 lets + the set + its operand = the cap.
+        compile(&chain(66), &baseline(), ScheduleMode::Unrestricted)
+            .unwrap_or_else(|e| panic!("expansion at the cap: {e}"));
+        let err = compile(&chain(67), &baseline(), ScheduleMode::Unrestricted).unwrap_err();
+        assert!(err.msg.contains("expansion nests deeper"), "{err}");
+        // A 50 000-operand sum folds into as many nested nodes.
+        let wide = format!(
+            "(global out int) (defun main () (set out (+ {})))",
+            "1 ".repeat(50_000)
+        );
+        let err = compile(&wide, &baseline(), ScheduleMode::Unrestricted).unwrap_err();
+        assert!(err.msg.contains("expansion nests deeper"), "{err}");
+    }
 }

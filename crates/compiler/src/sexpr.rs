@@ -8,6 +8,14 @@
 use crate::error::{CompileError, Result};
 use std::fmt;
 
+/// Deepest list nesting the reader accepts. Every pass over source
+/// trees recurses, so a cap keeps hostile input a typed error instead of
+/// a stack overflow. In a debug build on a 2 MiB thread (a test
+/// thread's stack), nested `let` or `while` statements overflow the
+/// front end at about 146 levels, so the cap is 128; the shipped
+/// programs nest at most 10.
+pub const MAX_NESTING: usize = 128;
+
 /// An atomic token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Atom {
@@ -107,14 +115,15 @@ impl fmt::Display for Sexpr {
 /// Parses a whole source file into top-level S-expressions.
 ///
 /// # Errors
-/// Returns a [`CompileError`] for unbalanced parentheses or malformed
-/// numeric literals.
+/// Returns a [`CompileError`] for unbalanced parentheses, lists nested
+/// deeper than [`MAX_NESTING`], or malformed numeric literals.
 pub fn parse(src: &str) -> Result<Vec<Sexpr>> {
     let mut p = Parser {
         chars: src.chars().collect(),
         pos: 0,
         line: 1,
         col: 1,
+        depth: 0,
     };
     let mut out = Vec::new();
     loop {
@@ -132,6 +141,8 @@ struct Parser {
     pos: usize,
     line: u32,
     col: u32,
+    /// Lists open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -177,6 +188,13 @@ impl Parser {
         match self.peek() {
             None => Err(CompileError::at(line, "unexpected end of input")),
             Some('(') => {
+                if self.depth == MAX_NESTING {
+                    return Err(CompileError::at(
+                        line,
+                        format!("lists nest deeper than {MAX_NESTING} levels"),
+                    ));
+                }
+                self.depth += 1;
                 self.bump();
                 let mut xs = Vec::new();
                 loop {
@@ -192,6 +210,7 @@ impl Parser {
                         Some(_) => xs.push(self.expr()?),
                     }
                 }
+                self.depth -= 1;
                 Ok(Sexpr {
                     line,
                     col,

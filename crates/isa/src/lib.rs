@@ -22,9 +22,11 @@
 //! * Memory references carry the **synchronizing flavors** of the paper's
 //!   Table 1 ([`LoadFlavor`], [`StoreFlavor`]).
 //!
-//! The crate also centralizes **operation semantics** ([`op::eval_int`],
-//! [`op::eval_float`]) so the compiler's constant folder, the reference
-//! interpreter and the simulator all agree exactly.
+//! The crate also centralizes **operation semantics**: [`op::eval_int`]
+//! and [`op::eval_float`] are the only arithmetic evaluators. The
+//! compiler's constant folder, the reference interpreter and both of
+//! the simulator's engines (`Decoded` and `Scan`) call them, so they
+//! all agree exactly.
 //!
 //! ```
 //! use pc_isa::{MachineConfig, UnitClass};
@@ -54,9 +56,7 @@ pub use config::{
 pub use debug::{DebugMap, LoopInfo, SegmentDebug, SpanInfo, SrcSpan};
 pub use error::{IsaError, Result};
 pub use inst::InstWord;
-pub use op::{
-    eval_alu, BranchOp, FloatOp, IntOp, LoadFlavor, MemOp, OpKind, OpTag, Operation, StoreFlavor,
-};
+pub use op::{BranchOp, FloatOp, IntOp, LoadFlavor, MemOp, OpKind, Operation, StoreFlavor};
 pub use program::{CodeSegment, Program, SegmentId, Symbol};
 pub use reg::{ClusterId, Operand, RegId};
 pub use validate::validate_program;

@@ -7,7 +7,8 @@
 //!
 //! The semantic evaluators [`eval_int`] and [`eval_float`] are the single
 //! source of truth for arithmetic: the compiler's constant folder, the AST
-//! interpreter used in property tests, and the simulator all call them.
+//! interpreter used in property tests, and both simulator engines call
+//! them.
 
 use crate::config::UnitClass;
 use crate::error::{IsaError, Result};
@@ -392,218 +393,6 @@ impl fmt::Display for Operation {
     }
 }
 
-/// Compact opcode tag: one dense `u8` value per concrete opcode form,
-/// stable across releases (new tags are appended, never renumbered).
-///
-/// This is the decode-once backend's dispatch currency: a simulator can
-/// translate every scheduled slot to its tag at load time and then
-/// dispatch issue/completion through a jump table over the tag instead
-/// of re-matching the nested [`OpKind`]/[`BranchOp`] enums per issue.
-/// [`OpKind::tag`] is the (total) projection, and [`eval_alu`] is the
-/// tag-indexed twin of [`eval_int`]/[`eval_float`] for arithmetic tags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-#[allow(missing_docs)]
-pub enum OpTag {
-    // Integer unit (matches IntOp declaration order).
-    Add = 0,
-    Sub,
-    Mul,
-    Div,
-    Rem,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    Not,
-    Neg,
-    Mov,
-    Slt,
-    Sle,
-    Seq,
-    Sne,
-    Sgt,
-    Sge,
-    // Float unit (matches FloatOp declaration order).
-    Fadd,
-    Fsub,
-    Fmul,
-    Fdiv,
-    Fneg,
-    Fabs,
-    Fmov,
-    Fslt,
-    Fsle,
-    Fseq,
-    Fsne,
-    Fsgt,
-    Fsge,
-    Itof,
-    Ftoi,
-    // Memory unit, one tag per flavor.
-    LdPlain,
-    LdWaitFull,
-    LdConsume,
-    StPlain,
-    StWaitFull,
-    StProduce,
-    // Branch unit, one tag per form.
-    Jmp,
-    BrTrue,
-    BrFalse,
-    Halt,
-    Fork,
-    Probe,
-}
-
-impl OpTag {
-    /// Number of distinct tags (jump-table sizing).
-    pub const COUNT: usize = OpTag::Probe as usize + 1;
-
-    /// True for tags evaluated by [`eval_alu`] (integer and float
-    /// arithmetic); memory and branch tags have machine-level effects
-    /// instead of a pure value.
-    pub fn is_alu(self) -> bool {
-        (self as u8) <= OpTag::Ftoi as u8
-    }
-}
-
-impl OpKind {
-    /// The compact [`OpTag`] of this opcode — total over every
-    /// representable operation.
-    pub fn tag(&self) -> OpTag {
-        match self {
-            OpKind::Int(op) => match op {
-                IntOp::Add => OpTag::Add,
-                IntOp::Sub => OpTag::Sub,
-                IntOp::Mul => OpTag::Mul,
-                IntOp::Div => OpTag::Div,
-                IntOp::Rem => OpTag::Rem,
-                IntOp::And => OpTag::And,
-                IntOp::Or => OpTag::Or,
-                IntOp::Xor => OpTag::Xor,
-                IntOp::Shl => OpTag::Shl,
-                IntOp::Shr => OpTag::Shr,
-                IntOp::Not => OpTag::Not,
-                IntOp::Neg => OpTag::Neg,
-                IntOp::Mov => OpTag::Mov,
-                IntOp::Slt => OpTag::Slt,
-                IntOp::Sle => OpTag::Sle,
-                IntOp::Seq => OpTag::Seq,
-                IntOp::Sne => OpTag::Sne,
-                IntOp::Sgt => OpTag::Sgt,
-                IntOp::Sge => OpTag::Sge,
-            },
-            OpKind::Float(op) => match op {
-                FloatOp::Fadd => OpTag::Fadd,
-                FloatOp::Fsub => OpTag::Fsub,
-                FloatOp::Fmul => OpTag::Fmul,
-                FloatOp::Fdiv => OpTag::Fdiv,
-                FloatOp::Fneg => OpTag::Fneg,
-                FloatOp::Fabs => OpTag::Fabs,
-                FloatOp::Fmov => OpTag::Fmov,
-                FloatOp::Fslt => OpTag::Fslt,
-                FloatOp::Fsle => OpTag::Fsle,
-                FloatOp::Fseq => OpTag::Fseq,
-                FloatOp::Fsne => OpTag::Fsne,
-                FloatOp::Fsgt => OpTag::Fsgt,
-                FloatOp::Fsge => OpTag::Fsge,
-                FloatOp::Itof => OpTag::Itof,
-                FloatOp::Ftoi => OpTag::Ftoi,
-            },
-            OpKind::Mem(MemOp::Load(fl)) => match fl {
-                LoadFlavor::Plain => OpTag::LdPlain,
-                LoadFlavor::WaitFull => OpTag::LdWaitFull,
-                LoadFlavor::Consume => OpTag::LdConsume,
-            },
-            OpKind::Mem(MemOp::Store(fl)) => match fl {
-                StoreFlavor::Plain => OpTag::StPlain,
-                StoreFlavor::WaitFull => OpTag::StWaitFull,
-                StoreFlavor::Produce => OpTag::StProduce,
-            },
-            OpKind::Branch(BranchOp::Jmp { .. }) => OpTag::Jmp,
-            OpKind::Branch(BranchOp::Br { on_true: true, .. }) => OpTag::BrTrue,
-            OpKind::Branch(BranchOp::Br { on_true: false, .. }) => OpTag::BrFalse,
-            OpKind::Branch(BranchOp::Halt) => OpTag::Halt,
-            OpKind::Branch(BranchOp::Fork { .. }) => OpTag::Fork,
-            OpKind::Branch(BranchOp::Probe { .. }) => OpTag::Probe,
-        }
-    }
-}
-
-/// Evaluates an arithmetic tag on concrete values: the jump-table twin
-/// of [`eval_int`]/[`eval_float`], for callers that validated source
-/// arity at decode time — no per-call arity check, a single flat
-/// dispatch. Semantics (including error cases reachable at the right
-/// arity: type mismatches and divide-by-zero) are identical to the
-/// enum evaluators; the `eval_alu_matches_enum_evaluators` test pins
-/// every tag to them.
-///
-/// # Errors
-/// [`IsaError::TypeMismatch`] and [`IsaError::DivideByZero`], exactly as
-/// the enum evaluators report them.
-///
-/// # Panics
-/// Debug builds assert `tag.is_alu()` and the decoded arity; release
-/// builds index `srcs` directly.
-pub fn eval_alu(tag: OpTag, srcs: &[Value]) -> Result<Value> {
-    debug_assert!(tag.is_alu(), "eval_alu on non-ALU tag {tag:?}");
-    Ok(match tag {
-        OpTag::Mov | OpTag::Fmov => srcs[0],
-        OpTag::Not => Value::Int(!srcs[0].as_int()?),
-        OpTag::Neg => Value::Int(srcs[0].as_int()?.wrapping_neg()),
-        OpTag::Add => Value::Int(srcs[0].as_int()?.wrapping_add(srcs[1].as_int()?)),
-        OpTag::Sub => Value::Int(srcs[0].as_int()?.wrapping_sub(srcs[1].as_int()?)),
-        OpTag::Mul => Value::Int(srcs[0].as_int()?.wrapping_mul(srcs[1].as_int()?)),
-        OpTag::Div | OpTag::Rem => {
-            let (a, b) = (srcs[0].as_int()?, srcs[1].as_int()?);
-            if b == 0 {
-                return Err(IsaError::DivideByZero);
-            }
-            Value::Int(if tag == OpTag::Div {
-                a.wrapping_div(b)
-            } else {
-                a.wrapping_rem(b)
-            })
-        }
-        OpTag::And => Value::Int(srcs[0].as_int()? & srcs[1].as_int()?),
-        OpTag::Or => Value::Int(srcs[0].as_int()? | srcs[1].as_int()?),
-        OpTag::Xor => Value::Int(srcs[0].as_int()? ^ srcs[1].as_int()?),
-        OpTag::Shl => Value::Int(
-            srcs[0]
-                .as_int()?
-                .wrapping_shl(srcs[1].as_int()? as u32 & 63),
-        ),
-        OpTag::Shr => Value::Int(
-            srcs[0]
-                .as_int()?
-                .wrapping_shr(srcs[1].as_int()? as u32 & 63),
-        ),
-        OpTag::Slt => Value::from(srcs[0].as_int()? < srcs[1].as_int()?),
-        OpTag::Sle => Value::from(srcs[0].as_int()? <= srcs[1].as_int()?),
-        OpTag::Seq => Value::from(srcs[0].as_int()? == srcs[1].as_int()?),
-        OpTag::Sne => Value::from(srcs[0].as_int()? != srcs[1].as_int()?),
-        OpTag::Sgt => Value::from(srcs[0].as_int()? > srcs[1].as_int()?),
-        OpTag::Sge => Value::from(srcs[0].as_int()? >= srcs[1].as_int()?),
-        OpTag::Itof => Value::Float(srcs[0].as_int()? as f64),
-        OpTag::Ftoi => Value::Int(srcs[0].as_float()? as i64),
-        OpTag::Fneg => Value::Float(-srcs[0].as_float()?),
-        OpTag::Fabs => Value::Float(srcs[0].as_float()?.abs()),
-        OpTag::Fadd => Value::Float(srcs[0].as_float()? + srcs[1].as_float()?),
-        OpTag::Fsub => Value::Float(srcs[0].as_float()? - srcs[1].as_float()?),
-        OpTag::Fmul => Value::Float(srcs[0].as_float()? * srcs[1].as_float()?),
-        OpTag::Fdiv => Value::Float(srcs[0].as_float()? / srcs[1].as_float()?),
-        OpTag::Fslt => Value::from(srcs[0].as_float()? < srcs[1].as_float()?),
-        OpTag::Fsle => Value::from(srcs[0].as_float()? <= srcs[1].as_float()?),
-        OpTag::Fseq => Value::from(srcs[0].as_float()? == srcs[1].as_float()?),
-        OpTag::Fsne => Value::from(srcs[0].as_float()? != srcs[1].as_float()?),
-        OpTag::Fsgt => Value::from(srcs[0].as_float()? > srcs[1].as_float()?),
-        OpTag::Fsge => Value::from(srcs[0].as_float()? >= srcs[1].as_float()?),
-        _ => unreachable!("non-ALU tag {tag:?}"),
-    })
-}
-
 fn need(op: &'static str, srcs: &[Value], n: usize) -> Result<()> {
     if srcs.len() != n {
         Err(IsaError::ArityMismatch {
@@ -916,115 +705,5 @@ mod tests {
         );
         let regs: Vec<_> = op.src_regs().collect();
         assert_eq!(regs, vec![r(0, 1)]);
-    }
-
-    #[test]
-    fn tags_are_dense_and_injective() {
-        let mut kinds: Vec<OpKind> = Vec::new();
-        kinds.extend(IntOp::all().iter().map(|&o| OpKind::Int(o)));
-        kinds.extend(FloatOp::all().iter().map(|&o| OpKind::Float(o)));
-        for fl in [LoadFlavor::Plain, LoadFlavor::WaitFull, LoadFlavor::Consume] {
-            kinds.push(OpKind::Mem(MemOp::Load(fl)));
-        }
-        for fl in [
-            StoreFlavor::Plain,
-            StoreFlavor::WaitFull,
-            StoreFlavor::Produce,
-        ] {
-            kinds.push(OpKind::Mem(MemOp::Store(fl)));
-        }
-        kinds.push(OpKind::Branch(BranchOp::Jmp { target: 0 }));
-        kinds.push(OpKind::Branch(BranchOp::Br {
-            on_true: true,
-            target: 0,
-        }));
-        kinds.push(OpKind::Branch(BranchOp::Br {
-            on_true: false,
-            target: 0,
-        }));
-        kinds.push(OpKind::Branch(BranchOp::Halt));
-        kinds.push(OpKind::Branch(BranchOp::Fork {
-            segment: SegmentId(0),
-            arg_dsts: vec![],
-        }));
-        kinds.push(OpKind::Branch(BranchOp::Probe { id: 0 }));
-
-        let mut seen = [false; OpTag::COUNT];
-        for k in &kinds {
-            let t = k.tag() as usize;
-            assert!(!seen[t], "tag collision for {k:?}");
-            seen[t] = true;
-        }
-        // Every tag value is produced by some opcode form: dense, no gaps.
-        assert!(seen.iter().all(|&s| s), "unreachable tag values exist");
-        assert_eq!(kinds.len(), OpTag::COUNT);
-    }
-
-    #[test]
-    fn eval_alu_matches_enum_evaluators() {
-        // Pin the jump-table evaluator to the canonical enum evaluators
-        // over every opcode and a value grid that exercises wrapping,
-        // divide-by-zero, comparisons, conversions, NaN, and type
-        // mismatches (mixed types at correct arity are the reachable
-        // error shape post-validation).
-        fn same(a: Result<Value>, b: Result<Value>) -> bool {
-            match (&a, &b) {
-                // Bitwise float equality so `0.0 / 0.0 == NaN` on both
-                // sides counts as agreement.
-                (Ok(Value::Float(x)), Ok(Value::Float(y))) => x.to_bits() == y.to_bits(),
-                _ => a == b,
-            }
-        }
-        let grid = [
-            Value::Int(0),
-            Value::Int(1),
-            Value::Int(-7),
-            Value::Int(i64::MAX),
-            Value::Int(i64::MIN),
-            Value::Int(65),
-            Value::Float(0.0),
-            Value::Float(-2.5),
-            Value::Float(1e300),
-        ];
-        for &op in IntOp::all() {
-            let tag = OpKind::Int(op).tag();
-            assert!(tag.is_alu());
-            for &a in &grid {
-                if op.arity() == 1 {
-                    assert!(
-                        same(eval_alu(tag, &[a]), eval_int(op, &[a])),
-                        "{op:?} {a:?}"
-                    );
-                    continue;
-                }
-                for &b in &grid {
-                    assert!(
-                        same(eval_alu(tag, &[a, b]), eval_int(op, &[a, b])),
-                        "{op:?} {a:?} {b:?}"
-                    );
-                }
-            }
-        }
-        for &op in FloatOp::all() {
-            let tag = OpKind::Float(op).tag();
-            assert!(tag.is_alu());
-            for &a in &grid {
-                if op.arity() == 1 {
-                    assert!(
-                        same(eval_alu(tag, &[a]), eval_float(op, &[a])),
-                        "{op:?} {a:?}"
-                    );
-                    continue;
-                }
-                for &b in &grid {
-                    assert!(
-                        same(eval_alu(tag, &[a, b]), eval_float(op, &[a, b])),
-                        "{op:?} {a:?} {b:?}"
-                    );
-                }
-            }
-        }
-        assert!(!OpTag::Jmp.is_alu());
-        assert!(!OpTag::LdPlain.is_alu());
     }
 }

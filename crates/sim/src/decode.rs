@@ -10,11 +10,14 @@
 //!   [`crate::regfile`]), immediates are unboxed into [`Value`]s, and
 //!   operand lists are flattened into fixed inline arrays — issue never
 //!   walks a heap `Vec` or re-matches an `Operand` enum;
-//! * each slot carries its compact [`OpTag`], its unit's **latency**,
-//!   packed source/destination **masks**, its memory-ordering rule, and
-//!   the sibling-unit **kill set** its issue can unready;
-//! * control transfers are pre-resolved into [`SlotAction`], so issue
-//!   never dereferences the program or clones a [`pc_isa::BranchOp`].
+//! * each slot carries its unit's **latency**, packed
+//!   source/destination **masks**, its memory-ordering rule, and the
+//!   sibling-unit **kill set** its issue can unready;
+//! * the opcode is carried in [`SlotAction`]: ALU slots hold their
+//!   [`pc_isa::IntOp`]/[`pc_isa::FloatOp`], evaluated by the same
+//!   `eval_int`/`eval_float` the scan oracle and the compiler call, and
+//!   control transfers are pre-resolved, so issue never dereferences
+//!   the program or clones a [`pc_isa::BranchOp`].
 //!
 //! Only the decoded engine dispatches through the slot records; the
 //! scan oracle reads each [`pc_isa::Operation`] straight from the
@@ -33,7 +36,7 @@ use crate::error::SimError;
 use crate::inline_vec::InlineVec;
 use crate::regfile::{bit_layout, MaskWord};
 use pc_isa::{
-    validate_program, BranchOp, FuId, MachineConfig, MemOp, OpKind, OpTag, Program, RegId,
+    validate_program, BranchOp, FloatOp, FuId, IntOp, MachineConfig, MemOp, OpKind, Program, RegId,
     SegmentId, Value,
 };
 use std::sync::Arc;
@@ -96,13 +99,15 @@ pub(crate) enum OrderRule {
     },
 }
 
-/// What issuing a slot does — its [`OpKind`] with the ALU opcode left
-/// to [`DecodedOp::tag`] and control transfers pre-resolved, so the
-/// decoded engine never clones the program's [`BranchOp`].
-#[derive(Debug, Clone)]
+/// What issuing a slot does — its [`OpKind`] with control transfers
+/// pre-resolved, so the decoded engine never clones the program's
+/// [`BranchOp`].
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SlotAction {
-    /// Integer or floating-point op, evaluated through its tag.
-    Alu,
+    /// Integer op, evaluated by [`pc_isa::op::eval_int`].
+    Int(IntOp),
+    /// Floating-point op, evaluated by [`pc_isa::op::eval_float`].
+    Float(FloatOp),
     Mem(MemOp),
     /// Completes at issue; records a probe record with this id.
     Probe(u32),
@@ -127,8 +132,6 @@ pub(crate) struct DecodedOp {
     pub fu: FuId,
     /// The unit's pipeline latency, precomputed from the configuration.
     pub latency: u64,
-    /// Compact opcode tag (the decoded engine's jump-table index).
-    pub tag: OpTag,
     /// What issue does with the gathered operands.
     pub action: SlotAction,
     /// Source-register presence mask.
@@ -306,7 +309,8 @@ impl DecodedProgram {
                         _ => OrderRule::None,
                     };
                     let action = match &op.kind {
-                        OpKind::Int(_) | OpKind::Float(_) => SlotAction::Alu,
+                        OpKind::Int(i) => SlotAction::Int(*i),
+                        OpKind::Float(f) => SlotAction::Float(*f),
                         OpKind::Mem(m) => SlotAction::Mem(*m),
                         OpKind::Branch(BranchOp::Probe { id }) => SlotAction::Probe(*id),
                         OpKind::Branch(BranchOp::Halt) => SlotAction::Halt,
@@ -332,7 +336,6 @@ impl DecodedProgram {
                     ops.push(DecodedOp {
                         fu: *fu,
                         latency: config.fu(*fu).latency as u64,
-                        tag: op.kind.tag(),
                         action,
                         src01: unpack_two_words(&src),
                         dst01: unpack_two_words(&dst),
@@ -500,7 +503,7 @@ impl DecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_isa::{ClusterId, CodeSegment, InstWord, IntOp, Operand, Operation};
+    use pc_isa::{ClusterId, CodeSegment, InstWord, Operand, Operation};
 
     fn r(c: u16, i: u32) -> RegId {
         RegId::new(ClusterId(c), i)
@@ -542,7 +545,7 @@ mod tests {
         assert_eq!(dp.slot_of_unit(row0)[0], 0);
         assert!(dp.slot_of_unit(row0)[1..].iter().all(|&s| s == u16::MAX));
         let add = &dp.slots(row0)[0];
-        assert_eq!(add.tag, OpTag::Add);
+        assert_eq!(add.action, SlotAction::Int(IntOp::Add));
         assert_eq!(add.latency, u64::from(dp.config().fu(FuId(0)).latency));
         assert!(matches!(
             add.srcs.as_slice(),
@@ -551,7 +554,7 @@ mod tests {
         assert_eq!(add.dsts_flat.as_slice(), &[0]);
 
         let mov = dp.slot(SegmentId(0), 1, 0);
-        assert_eq!(mov.tag, OpTag::Mov);
+        assert_eq!(mov.action, SlotAction::Int(IntOp::Mov));
         // c0.r0 is flat index 0, c0.r1 flat index 1.
         assert!(matches!(mov.srcs.as_slice(), [DecSrc::Reg(0)]));
         assert_eq!(mov.dsts_flat.as_slice(), &[1]);

@@ -37,8 +37,8 @@ type ValList = InlineVec<Value, 4>;
 ///
 /// * [`EngineKind::Decoded`] (default): event-driven candidate discovery
 ///   over per-thread readiness bitmasks plus decode-once dispatch — flat
-///   pre-resolved operands, jump-table opcode tags, precomputed
-///   latencies ([`DecodedProgram`]).
+///   pre-resolved operands, the opcode carried in each slot record,
+///   precomputed latencies ([`DecodedProgram`]).
 /// * [`EngineKind::Scan`]: the scan-every-cycle oracle. It re-grades
 ///   every thread × unit × slot each cycle and issues straight from the
 ///   program's operations, so no decoded record steers what it
@@ -995,9 +995,10 @@ impl Machine {
     /// The decoded engine's dispatch: gathers sources through
     /// pre-resolved flat register indices and unboxed immediates
     /// ([`DecSrc`]), claims destinations by flat index, and decides the
-    /// slot record's [`SlotAction`] — ALU ops through the jump-table tag,
-    /// the fork argument list shared (its clone is a pointer bump, not a
-    /// copy). Returns the unit latency with the effect.
+    /// slot record's [`SlotAction`] — ALU ops through the same
+    /// [`op::eval_int`]/[`op::eval_float`] calls [`Self::dispatch_scan`]
+    /// makes, the fork argument list shared (its clone is a pointer
+    /// bump, not a copy). Returns the unit latency with the effect.
     fn dispatch_decoded(&mut self, tid: ThreadId, op_idx: u32) -> Result<(u64, Effect), SimError> {
         let sm = &self.code.ops[op_idx as usize];
         let regs = &mut self.threads[tid.0 as usize].regs;
@@ -1013,8 +1014,11 @@ impl Machine {
             regs.begin_write_at(i);
         }
         let effect = match &sm.action {
-            SlotAction::Alu => {
-                Effect::Pipe(ExecPayload::Result(op::eval_alu(sm.tag, vals.as_slice())?))
+            SlotAction::Int(i) => {
+                Effect::Pipe(ExecPayload::Result(op::eval_int(*i, vals.as_slice())?))
+            }
+            SlotAction::Float(f) => {
+                Effect::Pipe(ExecPayload::Result(op::eval_float(*f, vals.as_slice())?))
             }
             SlotAction::Mem(m) => Self::mem_effect(*m, &vals)?,
             SlotAction::Probe(id) => Effect::Probe(*id),

@@ -6,9 +6,8 @@
 //!
 //! The renderers are **cycle-indexed**: events are bucketed into a
 //! `(cycle, unit)` grid in one pass, so rendering an `R`-cycle window
-//! over `E` events costs `O(E + R·U)` instead of the old `O(R·U·E)`
-//! per-cell linear scan. Column widths adapt to the longest cell, so
-//! mnemonics longer than 10 characters no longer shear the grid.
+//! over `E` events costs `O(E + R·U)`. Column widths adapt to the
+//! longest cell.
 
 use pc_isa::{FuId, MachineConfig, UnitClass};
 use std::fmt::Write;
