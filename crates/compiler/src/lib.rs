@@ -413,6 +413,23 @@ mod tests {
     }
 
     #[test]
+    fn nested_forall_is_capped_at_max_segments() {
+        // Each forall lowers one variant per arithmetic cluster (4 on the
+        // baseline) inside every enclosing variant.
+        let forall = |n: usize| {
+            let mut src = String::from("(global out int) (defun main () ");
+            for d in 0..n {
+                src += &format!("(forall (i{d} 0 1) ");
+            }
+            src + "(set out 1)" + &")".repeat(n + 1)
+        };
+        let out = compile(&forall(4), &baseline(), ScheduleMode::Unrestricted).unwrap();
+        assert_eq!(out.program.segments.len(), 341);
+        let err = compile(&forall(6), &baseline(), ScheduleMode::Unrestricted).unwrap_err();
+        assert!(err.msg.contains("MAX_SEGMENTS = 4096"), "{err}");
+    }
+
+    #[test]
     fn expansion_is_capped_like_the_source() {
         // `main` calls p1, each pK calls pK+1, and p60 nests `lets`
         // statements: every source list is shallow, but inlining stacks

@@ -8,6 +8,15 @@ use crate::ir::{BinOp, Block, Func, Inst, InstKind, IrProgram, Prov, Term, UnOp,
 use std::collections::HashMap;
 use std::mem;
 
+/// Most functions (segments) one program may lower to. Each `forall`
+/// lowers its body once per variant, inside every variant of each
+/// enclosing `forall`, so nesting multiplies the count: with the
+/// baseline machine's 4 variants, `n` nested forms make
+/// `(4^(n+1) - 1) / 3` functions — 341 at 4, 5461 at 6. The largest
+/// shipped program lowers to 13, so the cap only stops hostile or
+/// mistaken sources, before they cost exponential time.
+pub const MAX_SEGMENTS: usize = 4096;
+
 /// Lowering options.
 #[derive(Debug, Clone, Copy)]
 pub struct LowerOptions {
@@ -25,8 +34,8 @@ impl Default for LowerOptions {
 /// Lowers a front-end [`Module`] to IR.
 ///
 /// # Errors
-/// Type errors, unknown names, and non-constant bounds on `:unroll full`
-/// loops.
+/// Type errors, unknown names, non-constant bounds on `:unroll full`
+/// loops, and programs of more than [`MAX_SEGMENTS`] functions.
 pub fn lower(module: &Module, opts: LowerOptions) -> Result<IrProgram> {
     let mut symbols = Vec::new();
     let mut addr = 0u64;
@@ -49,7 +58,7 @@ pub fn lower(module: &Module, opts: LowerOptions) -> Result<IrProgram> {
     // any statement carries non-empty provenance.
     lx.cur_prov = lx.prov_for(&ast::SrcSpan::synthetic());
     let main = Func::new("main", 0);
-    let idx = lx.push_func(main);
+    let idx = lx.push_func(main)?;
     lx.build_body(idx, &module.main, &HashMap::new())?;
     Ok(IrProgram {
         funcs: lx.funcs,
@@ -89,9 +98,17 @@ struct Cursor {
 }
 
 impl Lowerer {
-    fn push_func(&mut self, f: Func) -> usize {
+    /// Appends a function, failing as soon as the program would pass
+    /// [`MAX_SEGMENTS`] so that lowering stops at the cap.
+    fn push_func(&mut self, f: Func) -> Result<usize> {
+        if self.funcs.len() == MAX_SEGMENTS {
+            return Err(CompileError::new(format!(
+                "program lowers to more than MAX_SEGMENTS = {MAX_SEGMENTS} functions \
+                 (nested forall multiplies its variants)"
+            )));
+        }
         self.funcs.push(f);
-        self.funcs.len() - 1
+        Ok(self.funcs.len() - 1)
     }
 
     fn func(&mut self, idx: usize) -> &mut Func {
@@ -603,7 +620,7 @@ impl Lowerer {
             child.params.push(p);
             env.insert(n.clone(), (p, *ty));
         }
-        let idx = self.push_func(child);
+        let idx = self.push_func(child)?;
         self.build_body(idx, body, &env)?;
         Ok(idx)
     }

@@ -1,5 +1,5 @@
 //! The sweep batch engine: enumerate a configuration cross-product,
-//! fan the cells over the work-stealing pool, serve repeats from the
+//! fan the cells over the block-stealing pool, serve repeats from the
 //! content-addressed cache, and stream results as JSONL. The JSONL is
 //! the record of finished cells that a killed run resumes from; a
 //! write-once manifest next to it guards it against a different spec
@@ -10,15 +10,16 @@
 //! mixes`; [`SweepSpec`] describes any sub-grid of it, and
 //! [`run_sweep`] executes one for `pcsim sweep` and perfbench. The
 //! experiment harness runs its point lists through the same two shared
-//! pieces — the work-stealing pool and the runner's compile memo — but
+//! pieces — the block-stealing pool and the runner's compile memo — but
 //! without the cache or the JSONL stream.
 //!
 //! Determinism contract: the rows of a sweep (and the JSONL lines,
 //! after zeroing the per-row `wall_ns` and `cached` fields) are a pure
 //! function of the spec — independent of `jobs`, steal order, cache
 //! state, sharding, or how many times the run was killed and resumed.
-//! Rows are flushed in **cell order** through a reorder buffer, so even
-//! the byte order of a given run's output is deterministic.
+//! The pool hands rows back in **cell order**, and each is flushed as it
+//! arrives, so even the byte order of a given run's output is
+//! deterministic.
 
 use super::cache::{CachedResult, KeyPrefix, ResultCache};
 use super::codec::{escape_json, parse_json, stats_from_value, stats_to_json, Json};
@@ -691,18 +692,21 @@ struct Program<'a> {
 
 /// Runs a sweep.
 ///
-/// Work-stealing across `opts.jobs` threads; each pending cell first
+/// Block stealing across `opts.jobs` threads; each pending cell first
 /// consults the cache (if configured), then compiles + simulates +
 /// validates. Compiles are shared within the run: cells with the same
 /// source, schedule mode and [compile
 /// target](MachineConfig::compile_target) reuse one compiled image.
-/// Completed rows stream to the JSONL sink **in cell order**
-/// (a reorder buffer holds out-of-order completions), each flushed as
+/// Completed rows stream to the JSONL sink **in cell order** (the pool
+/// holds a row that finished ahead of an earlier cell), each flushed as
 /// it lands. Before the first row, `<out>.manifest.json` is written
 /// once if absent, or checked against the spec and shard if present.
-/// Killing the process at any point loses at most the rows still in
-/// flight, and a resume, reading the JSONL alone, recomputes exactly
-/// the missing cells.
+/// Killing the process loses the rows still in flight and, with
+/// `jobs >= 2`, also the finished rows held back in memory: every
+/// worker but the first starts mid-grid, so rows past the flushed
+/// prefix wait there for the cells before them. Nothing is corrupted:
+/// a resume, reading the JSONL alone, recomputes exactly the missing
+/// cells.
 ///
 /// # Errors
 /// Deterministically reports the lowest-indexed failing cell
@@ -798,8 +802,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         None => None,
     };
 
-    // Fan the pending cells over the pool; the sink-side reorder buffer
-    // flushes in pending order so output bytes are schedule-independent.
+    // Fan the pending cells over the pool, which hands rows back in
+    // pending order so output bytes are schedule-independent.
     let jobs = opts.jobs.max(1);
     // Telemetry is purely host-side: the rows and their JSONL bytes are
     // identical with it on or off (the determinism suite pins this).
@@ -935,65 +939,29 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         _ => None,
     };
 
-    let mut slots: Vec<Option<Result<SweepRow, (String, RunError)>>> =
-        std::iter::repeat_with(|| None)
-            .take(pending.len())
-            .collect();
-    let mut next_flush = 0usize;
-    let mut flushed: Vec<SweepRow> = Vec::with_capacity(pending.len());
-    let mut io_error: Option<std::io::Error> = None;
-    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    // Completed-but-unflushed rows (an earlier cell still in flight).
-    let mut in_buffer = 0u64;
+    // The pool delivers rows in cell order; each is written and flushed
+    // as it lands. Writing stops at the first failure of any kind.
+    let mut rows: Vec<SweepRow> = Vec::with_capacity(pending.len());
+    let mut panic = None;
+    let mut failure: Option<SweepError> = None;
     run_pool(
         &pending,
         jobs,
         run_cell,
-        |i, outcome| {
-            match outcome {
-                Ok(row) => {
-                    slots[i] = Some(row);
-                    in_buffer += 1;
-                    if let Some(t) = tel_ref {
-                        t.reorder_depth_peak.set_max(in_buffer);
-                    }
-                }
-                Err(payload) => {
-                    let lowest = first_panic.as_ref().map_or(true, |(j, _)| i < *j);
-                    if lowest {
-                        first_panic = Some((i, payload));
-                    }
-                    return;
-                }
+        |_, outcome| match outcome {
+            Err(payload) => {
+                panic.get_or_insert(payload);
             }
-            // Flush the completed prefix in cell order.
-            while io_error.is_none() {
-                let Some(slot) = slots.get_mut(next_flush).and_then(Option::take) else {
-                    break;
-                };
-                match slot {
-                    Ok(row) => {
-                        if let Some(w) = &mut sink {
-                            let write = writeln!(w, "{}", row.to_jsonl()).and_then(|()| w.flush());
-                            if let Err(e) = write {
-                                io_error = Some(e);
-                                break;
-                            }
-                        }
-                        flushed.push(row);
-                        next_flush += 1;
-                        in_buffer -= 1;
-                    }
-                    Err(fail) => {
-                        // Put the failure back; reported after the pool
-                        // drains (lowest index wins deterministically).
-                        slots[next_flush] = Some(Err(fail));
-                        break;
+            Ok(_) if panic.is_some() || failure.is_some() => {}
+            Ok(Err((cell, error))) => failure = Some(SweepError::Cell { cell, error }),
+            Ok(Ok(row)) => {
+                if let Some(w) = &mut sink {
+                    if let Err(e) = writeln!(w, "{}", row.to_jsonl()).and_then(|()| w.flush()) {
+                        failure = Some(SweepError::Io(e));
+                        return;
                     }
                 }
-            }
-            if let Some(t) = tel_ref {
-                t.reorder_depth.set(in_buffer);
+                rows.push(row);
             }
         },
         tel.as_ref().map(|t| &t.pool),
@@ -1002,22 +970,16 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
     if let Some(handle) = monitor {
         let _ = handle.join();
     }
-    if let Some((_, payload)) = first_panic {
+    if let Some(payload) = panic {
         resume_unwind(payload);
     }
-    if let Some(e) = io_error {
-        return Err(SweepError::Io(e));
+    if let Some(e) = failure {
+        return Err(e);
     }
-    // Any cell failure: report the lowest-indexed one.
-    for slot in slots.into_iter().flatten() {
-        if let Err((cell, error)) = slot {
-            return Err(SweepError::Cell { cell, error });
-        }
-    }
-    let hits = flushed.iter().filter(|r| r.cached).count();
-    let misses = flushed.len() - hits;
+    let hits = rows.iter().filter(|r| r.cached).count();
+    let misses = rows.len() - hits;
     Ok(SweepSummary {
-        rows: flushed,
+        rows,
         total_cells: cells.len(),
         prior_done,
         hits,

@@ -9,10 +9,11 @@
 //! grids through [`run_sweep`]; the experiment harness shares only the
 //! [`pool`] (through [`try_par_map`]) and the compile memo.
 //!
-//! - [`pool`] — a work-stealing deque pool (owners pop from the bottom,
-//!   thieves steal blocks from the top) behind the [`par_map`] /
-//!   [`try_par_map`] combinators, so long LUD cells don't serialize
-//!   behind short Matrix cells.
+//! - [`pool`] — a block-stealing pool (each worker walks its own
+//!   contiguous block from the front; an idle worker steals one item
+//!   from the back of another's) that returns results in item order,
+//!   behind the [`par_map`] / [`try_par_map`] combinators, so long LUD
+//!   cells don't serialize behind short Matrix cells.
 //! - [`cache`] — a content-addressed result cache keyed by the hash of
 //!   a cell's *inputs* (program source, mode, machine configuration,
 //!   cycle limit, schema version); hits replay stored [`pc_sim::RunStats`]

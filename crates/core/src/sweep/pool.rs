@@ -1,30 +1,30 @@
-//! Work-stealing deque pool.
+//! Block-range work-stealing pool that returns results in item order.
 //!
 //! Every experiment in [`crate::experiments`] is an embarrassingly
 //! parallel grid — benchmark × mode × interconnect × memory model ×
 //! unit mix — of independent compile/simulate/validate pipelines, but
 //! the cells are wildly uneven: an LUD run under Mem2 costs orders of
-//! magnitude more than a tiny Matrix run. A central shared queue makes
-//! every worker contend on one cache line for every item; fixed
-//! chunking lets a worker that drew the long cells finish last while
-//! the rest idle. This pool does neither: each worker owns a deque
-//! seeded with a contiguous block of the grid, **pops from the bottom**
-//! of its own deque and, when empty, **steals a batch from the top** of
-//! a victim's — owner and thieves touch opposite ends, so contention
-//! only appears when the pool is already imbalanced.
+//! magnitude more than a tiny Matrix run. Fixed chunking lets a worker
+//! that drew the long cells finish last while the rest idle; one shared
+//! claim counter interleaves neighbouring cells across workers, so they
+//! wait on each other's compiles of the same program. This pool keeps
+//! neighbours together: each worker owns a **contiguous block** of the
+//! grid and walks it from the front; a worker whose block is empty
+//! **steals one item from the back** of the first victim with work. An
+//! owner and a thief meet only when a block is nearly drained.
 //!
-//! Results are delivered with **deterministic ordering**: [`par_map`]
-//! returns results in item order no matter how the OS schedules workers
-//! or which items get stolen, so a parallel sweep is bit-identical to
-//! the serial one. (The heavy dependency this would normally use,
-//! rayon/crossbeam, is unavailable offline; mutex-guarded deques cover
-//! the need — each lock guards a handful of pointer moves, never a
-//! simulation.)
+//! Results come back **in item order**: the pool holds a result
+//! that finished ahead of an earlier item until that item is delivered,
+//! so [`par_map`], the sweep engine's JSONL writer and every experiment
+//! table see the serial order whatever the workers did, and the first
+//! panic a caller is handed is the lowest-indexed one. (rayon/crossbeam
+//! are unavailable offline; each worker's block is a mutex-guarded
+//! `Range`, and each lock guards an index bump, never a simulation.)
 
-use pc_metrics::{Gauge, Histogram, Lanes};
-use std::collections::VecDeque;
+use pc_metrics::{Gauge, Lanes};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -34,25 +34,24 @@ use std::time::Instant;
 /// only, so a monitor thread can read concurrently.
 ///
 /// Conservation contract: every executed item is counted in exactly one
-/// of `pops` (taken off the worker's own deque) or `steals` (the first
-/// item of a stolen batch, executed immediately — the rest of the batch
-/// lands in the thief's deque and is counted as pops when taken), so
+/// of `pops` (taken from the front of the worker's own block) or
+/// `steals` (taken from the back of a victim's), so
 /// `pops.total() + steals.total()` equals the number of items executed.
 #[derive(Debug, Clone)]
 pub struct PoolMetrics {
-    /// Items taken from the worker's own deque, per worker.
+    /// Items taken from the worker's own block, per worker.
     pub pops: Arc<Lanes>,
-    /// Successful steals (one immediately-executed item each), per
-    /// worker.
+    /// Items stolen from a victim's block, per worker.
     pub steals: Arc<Lanes>,
-    /// Stolen batch sizes, in items.
-    pub steal_block: Arc<Histogram>,
     /// Host nanoseconds inside the work closure, per worker.
     pub busy_ns: Arc<Lanes>,
     /// Host lifetime of each worker thread, recorded once at exit.
     pub wall_ns: Arc<Lanes>,
-    /// High-water mark over every deque's depth.
-    pub queue_peak: Arc<Gauge>,
+    /// Results currently held back because an earlier item is still in
+    /// flight.
+    pub reorder_depth: Arc<Gauge>,
+    /// High-water mark of `reorder_depth`.
+    pub reorder_depth_peak: Arc<Gauge>,
 }
 
 /// Number of worker threads to use by default: the host's available
@@ -63,55 +62,16 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// One worker's deque of pending item indices.
-///
-/// The owner pops from the **back** (the "bottom"); thieves take a
-/// batch from the **front** (the "top"). The deque is seeded with the
-/// owner's block in *reverse* order, so the owner's pops walk the block
-/// in ascending item order while thieves drain the far end.
-struct WorkerDeque {
-    q: Mutex<VecDeque<usize>>,
-}
-
-impl WorkerDeque {
-    fn seeded(range: std::ops::Range<usize>) -> Self {
-        WorkerDeque {
-            q: Mutex::new(range.rev().collect()),
-        }
-    }
-
-    /// Owner's pop: bottom of the deque.
-    fn pop(&self) -> Option<usize> {
-        self.q.lock().expect("deque lock").pop_back()
-    }
-
-    /// Thief's steal: up to half the victim's items (at least one) off
-    /// the top. Returns them bottom-first so the thief can extend its
-    /// own deque and keep popping in the victim's order.
-    fn steal(&self) -> Vec<usize> {
-        let mut q = self.q.lock().expect("deque lock");
-        let n = q.len().div_ceil(2).min(q.len());
-        q.drain(..n).collect()
-    }
-
-    fn push_stolen(&self, batch: Vec<usize>) {
-        let mut q = self.q.lock().expect("deque lock");
-        for i in batch {
-            q.push_back(i);
-        }
-    }
-}
-
 /// Runs `f` over every item on up to `jobs` workers, delivering
 /// `(item index, result)` pairs to `sink` **on the caller's thread in
-/// completion order**. Worker panics are caught and delivered as `Err`
-/// payloads; the caller decides how to re-raise. `jobs <= 1` runs
-/// inline with no spawning (and no panic catching — a serial panic
-/// propagates exactly as the plain loop would).
+/// ascending item order**, each as soon as it and every earlier item
+/// have finished. Worker panics are caught and delivered in order as
+/// `Err` payloads; the caller decides how to re-raise. `jobs <= 1` runs
+/// inline with no spawning, no buffering and no panic catching — a
+/// serial panic propagates exactly as the plain loop would.
 ///
 /// This is the streaming primitive under [`par_map`] and the sweep
-/// engine's JSONL writer: the sink sees results the moment they finish,
-/// not when the whole grid is done.
+/// engine's JSONL writer.
 pub(crate) fn run_pool<I, O, F>(
     items: &[I],
     jobs: usize,
@@ -138,71 +98,50 @@ pub(crate) fn run_pool<I, O, F>(
             }
         }
         if let (Some(m), Some(t)) = (metrics, t_start) {
-            m.queue_peak.set_max(items.len() as u64);
             m.wall_ns.add(0, t.elapsed().as_nanos() as u64);
         }
         return;
     }
-    // Seed each worker with a contiguous block of the grid.
-    let deques: Vec<WorkerDeque> = (0..jobs)
-        .map(|w| {
-            let lo = w * items.len() / jobs;
-            let hi = (w + 1) * items.len() / jobs;
-            if let Some(m) = metrics {
-                m.queue_peak.set_max((hi - lo) as u64);
-            }
-            WorkerDeque::seeded(lo..hi)
-        })
+    // Each worker owns a contiguous block of the grid.
+    let blocks: Vec<Mutex<Range<usize>>> = (0..jobs)
+        .map(|w| Mutex::new(w * items.len() / jobs..(w + 1) * items.len() / jobs))
         .collect();
-    let steals = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<O>)>();
     std::thread::scope(|s| {
         for w in 0..jobs {
             let tx = tx.clone();
-            let deques = &deques;
-            let steals = &steals;
+            let blocks = &blocks;
             let f = &f;
             s.spawn(move || {
                 let t_spawn = metrics.map(|_| Instant::now());
                 loop {
-                    let (i, was_pop) = match deques[w].pop() {
-                        Some(i) => (i, true),
+                    let own = blocks[w].lock().expect("block lock").next();
+                    let (i, taken) = match own {
+                        Some(i) => (i, metrics.map(|m| &m.pops)),
                         None => {
-                            // Own deque dry: steal a batch from the first
-                            // victim with work, scanning round-robin from
-                            // our right-hand neighbour. Items are never
-                            // re-enqueued, so an all-empty scan means the
-                            // grid is fully claimed and we can retire.
-                            let mut batch = Vec::new();
-                            for v in 1..jobs {
-                                batch = deques[(w + v) % jobs].steal();
-                                if !batch.is_empty() {
-                                    break;
-                                }
-                            }
-                            let Some(&first) = batch.first() else { break };
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            if let Some(m) = metrics {
-                                m.steals.add(w, 1);
-                                m.steal_block.record(batch.len() as u64);
-                                m.queue_peak.set_max(batch.len() as u64 - 1);
-                            }
-                            deques[w].push_stolen(batch[1..].to_vec());
-                            (first, false)
+                            // Own block dry: steal one item off the back of
+                            // the first victim with work, scanning round-robin
+                            // from our right-hand neighbour. Blocks only
+                            // shrink, so an all-empty scan means the grid is
+                            // fully claimed and we can retire.
+                            let Some(i) = (1..jobs).find_map(|v| {
+                                blocks[(w + v) % jobs]
+                                    .lock()
+                                    .expect("block lock")
+                                    .next_back()
+                            }) else {
+                                break;
+                            };
+                            (i, metrics.map(|m| &m.steals))
                         }
                     };
-                    // The first item of a stolen batch was counted as a
-                    // steal above; everything popped is a pop.
-                    if let Some(m) = metrics {
-                        if was_pop {
-                            m.pops.add(w, 1);
-                        }
+                    if let Some(lanes) = taken {
+                        lanes.add(w, 1);
                     }
                     let item = &items[i];
                     // A panicking item must not tear down the scope with a
                     // payload-less "scoped thread panicked": the payload is
-                    // caught, shipped to the caller's thread, and re-raised
-                    // there once every worker has drained its share.
+                    // caught and shipped to the caller's thread in order.
                     let t0 = metrics.map(|_| Instant::now());
                     let out = catch_unwind(AssertUnwindSafe(|| f(item)));
                     if let (Some(m), Some(t)) = (metrics, t0) {
@@ -218,17 +157,27 @@ pub(crate) fn run_pool<I, O, F>(
             });
         }
         drop(tx);
+        // Results that finished ahead of an earlier item wait here.
+        let mut waiting = BTreeMap::new();
+        let mut next = 0;
         for (i, out) in rx {
-            sink(i, out);
+            waiting.insert(i, out);
+            while let Some(out) = waiting.remove(&next) {
+                sink(next, out);
+                next += 1;
+            }
+            if let Some(m) = metrics {
+                m.reorder_depth.set(waiting.len() as u64);
+                m.reorder_depth_peak.set_max(waiting.len() as u64);
+            }
         }
     });
 }
 
-/// Applies `f` to every item on up to `jobs` worker threads of a
-/// work-stealing deque pool, returning the results **in item order**
-/// (the scheduling of workers never leaks into the output). `jobs <= 1`
-/// runs inline on the caller's thread with no spawning at all, which
-/// keeps the serial path byte-for-byte the old code path.
+/// Applies `f` to every item on up to `jobs` worker threads of the
+/// block-stealing pool, returning the results **in item order** (the
+/// scheduling of workers never leaks into the output). `jobs <= 1`
+/// runs inline on the caller's thread with no spawning at all.
 ///
 /// # Panics
 /// Re-raises the panic of the **lowest-indexed** panicking item — with
@@ -241,37 +190,24 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let jobs = jobs.clamp(1, items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<O>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
+    let mut out = Vec::with_capacity(items.len());
+    let mut panic = None;
     run_pool(
         items,
         jobs,
         f,
-        |i, out| match out {
-            Ok(v) => slots[i] = Some(v),
+        |_, result| match result {
+            Ok(v) => out.push(v),
             Err(payload) => {
-                let lowest = match &first_panic {
-                    None => true,
-                    Some((j, _)) => i < *j,
-                };
-                if lowest {
-                    first_panic = Some((i, payload));
-                }
+                panic.get_or_insert(payload);
             }
         },
         None,
     );
-    if let Some((_, payload)) = first_panic {
+    if let Some(payload) = panic {
         resume_unwind(payload);
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every work item produces one result"))
-        .collect()
+    out
 }
 
 /// [`par_map`] for fallible work: collects `Ok` results in item order,
@@ -295,6 +231,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_item_order() {
@@ -398,15 +335,55 @@ mod tests {
         assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
     }
 
+    #[test]
+    fn run_pool_delivers_in_ascending_item_order() {
+        // Item 0 waits until every other item has started, so at least
+        // 60 later results (all but one in flight per other worker) are
+        // handed to the pool before it. The sink must still see 0, 1, 2,
+        // ... and those results must have waited.
+        let items: Vec<u64> = (0..64).collect();
+        let (started, starts) = mpsc::channel();
+        let starts = Mutex::new(starts);
+        let m = test_metrics(4);
+        let mut seen = Vec::new();
+        run_pool(
+            &items,
+            4,
+            |&x| {
+                if x == 0 {
+                    let starts = starts.lock().expect("start lock");
+                    for _ in 1..items.len() {
+                        starts.recv().expect("every other item starts");
+                    }
+                } else {
+                    started.send(()).expect("item 0 is listening");
+                }
+                x
+            },
+            |i, out| {
+                assert_eq!(out.unwrap(), items[i]);
+                seen.push(i);
+            },
+            Some(&m),
+        );
+        assert_eq!(seen, (0..64).collect::<Vec<_>>());
+        assert_eq!(m.reorder_depth.get(), 0, "nothing waits once drained");
+        assert!(
+            m.reorder_depth_peak.get() >= 60,
+            "{}",
+            m.reorder_depth_peak.get()
+        );
+    }
+
     fn test_metrics(jobs: usize) -> PoolMetrics {
         let r = pc_metrics::Registry::new();
         PoolMetrics {
             pops: r.lanes("pops", "", jobs),
             steals: r.lanes("steals", "", jobs),
-            steal_block: r.histogram("steal_block", ""),
             busy_ns: r.lanes("busy", "", jobs),
             wall_ns: r.lanes("wall", "", jobs),
-            queue_peak: r.gauge("peak", ""),
+            reorder_depth: r.gauge("depth", ""),
+            reorder_depth_peak: r.gauge("peak", ""),
         }
     }
 
@@ -442,13 +419,9 @@ mod tests {
             m.pops.per_lane(),
             m.steals.per_lane(),
         );
-        // Steal accounting: each steal event records one block whose
-        // size counts the immediately-executed first item.
-        assert_eq!(m.steals.total(), m.steal_block.summary().count);
         for (b, w) in m.busy_ns.per_lane().iter().zip(m.wall_ns.per_lane()) {
             assert!(*b <= w, "busy {b} > wall {w}");
         }
-        assert!(m.queue_peak.get() >= (items.len() / jobs) as u64);
     }
 
     #[test]
@@ -458,7 +431,6 @@ mod tests {
         run_pool(&items, 1, |&x| x, |_, _| {}, Some(&m));
         assert_eq!(m.pops.total(), 9);
         assert_eq!(m.steals.total(), 0);
-        assert_eq!(m.queue_peak.get(), 9);
         assert!(m.busy_ns.get(0) <= m.wall_ns.get(0));
     }
 

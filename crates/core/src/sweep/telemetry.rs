@@ -2,16 +2,18 @@
 //! are doing in host time.
 //!
 //! [`SweepTelemetry`] owns a [`pc_metrics::Registry`] and the live
-//! handles the pool workers, cache call sites, and reorder buffer
-//! update. Everything is lock-free after registration (per-worker lanes
-//! are cache-line padded single-writer atomics), so a monitor thread —
-//! the `--progress` line or the periodic JSONL emitter — snapshots
-//! concurrently with the workers.
+//! handles the pool workers, the pool's in-order delivery, and the
+//! cache call sites update. Everything is lock-free after registration
+//! (per-worker lanes are cache-line padded single-writer atomics), so a
+//! monitor thread — the `--progress` line or the periodic JSONL emitter
+//! — snapshots concurrently with the workers.
 //!
 //! Conservation invariants the snapshot satisfies (enforced by tests):
 //!
-//! * `pool_pops_total + pool_steals_total == cells_done_total` — every
-//!   executed cell was obtained by exactly one owner pop or one steal.
+//! * the `pool_pops` lanes plus the `pool_steals` lanes sum to
+//!   `cells_done_total` — every executed cell was taken exactly once,
+//!   from the front of its worker's own block or from the back of a
+//!   victim's.
 //! * `compiles_total + compile_reuses_total == cache_misses_total` on a
 //!   run with no failed cell — every miss either compiled its program or
 //!   reused one compiled earlier in the run; hits never compile.
@@ -52,11 +54,6 @@ pub struct SweepTelemetry {
     pub compile_reuses: Arc<Counter>,
     /// Compile latency of the cells that compiled, nanoseconds.
     pub compile_ns: Arc<Histogram>,
-    /// Current JSONL reorder-buffer occupancy (rows completed but not
-    /// yet flushed because an earlier cell is still in flight).
-    pub reorder_depth: Arc<Gauge>,
-    /// High-water mark of the reorder buffer.
-    pub reorder_depth_peak: Arc<Gauge>,
 }
 
 impl SweepTelemetry {
@@ -67,25 +64,27 @@ impl SweepTelemetry {
         let pool = PoolMetrics {
             pops: registry.lanes(
                 "pool_pops",
-                "Cells obtained from the worker's own deque.",
+                "Cells taken from the front of the worker's own block.",
                 jobs,
             ),
             steals: registry.lanes(
                 "pool_steals",
-                "Cells obtained by stealing from a victim's deque.",
+                "Cells stolen from the back of a victim's block.",
                 jobs,
             ),
-            steal_block: registry
-                .histogram("pool_steal_block_cells", "Stolen batch sizes, in cells."),
             busy_ns: registry.lanes(
                 "pool_busy_ns",
                 "Host time inside cell pipelines, per worker.",
                 jobs,
             ),
             wall_ns: registry.lanes("pool_wall_ns", "Host lifetime of each worker thread.", jobs),
-            queue_peak: registry.gauge(
-                "pool_queue_depth_peak",
-                "Deepest any worker deque ever was, in cells.",
+            reorder_depth: registry.gauge(
+                "reorder_buffer_depth",
+                "Finished cells held back until every earlier cell is delivered.",
+            ),
+            reorder_depth_peak: registry.gauge(
+                "reorder_buffer_depth_peak",
+                "High-water mark of reorder_buffer_depth.",
             ),
         };
         let t = SweepTelemetry {
@@ -109,14 +108,6 @@ impl SweepTelemetry {
                 "Cache misses that reused a program compiled earlier this run.",
             ),
             compile_ns: registry.histogram("compile_ns", "Compile latency of cells that compiled."),
-            reorder_depth: registry.gauge(
-                "reorder_buffer_depth",
-                "Rows completed but awaiting in-order flush.",
-            ),
-            reorder_depth_peak: registry.gauge(
-                "reorder_buffer_depth_peak",
-                "High-water mark of the reorder buffer.",
-            ),
             registry,
         };
         t.cells_total.set(total as u64);

@@ -246,8 +246,8 @@ impl Lanes {
         self.lanes.len()
     }
 
-    /// True when constructed with zero requested lanes (one lane still
-    /// exists so recording never bounds-checks).
+    /// Always false: even a handle built for zero lanes holds one, so
+    /// recording never bounds-checks.
     pub fn is_empty(&self) -> bool {
         false
     }

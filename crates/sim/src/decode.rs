@@ -188,8 +188,11 @@ pub(crate) struct DecRow {
     /// True when every slot's operand masks fall in bit words 0 and 1
     /// (register files up to 128 bits) — the readiness refresh then
     /// grades the row with four fixed-word compares per slot instead of
-    /// iterating packed mask lists. All the paper benchmarks' segments
-    /// qualify.
+    /// iterating packed mask lists. Not every paper benchmark qualifies:
+    /// rows that touch a register at bit 128 or above take the general
+    /// mask path — on the baseline machine, 46 of FFT's 59 STS rows, 33
+    /// of its 118 Coupled rows, and in Ideal mode every Matrix (371) and
+    /// FFT (227) row, 491 of Model's 568 and 8 of LUD's 121.
     pub two_word: bool,
 }
 
