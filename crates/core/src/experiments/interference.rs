@@ -139,7 +139,7 @@ fn run_one(
         CompileOptions::default(),
     )?;
     let out = run_compiled(bench, &image, config, &Observe::default())?;
-    Ok((out, image.program))
+    Ok((out, Arc::clone(image.code.program())))
 }
 
 /// Runs the interference study.

@@ -23,7 +23,7 @@
 
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
-use crate::runner::{run_compiled, source_of, CompileMemo, Observe, RunError, RunOutcome};
+use crate::runner::{run_compiled, CompileMemo, Observe, RunError, RunOutcome};
 use pc_compiler::CompileOptions;
 use pc_isa::MachineConfig;
 
@@ -68,15 +68,63 @@ pub(crate) fn every_mode(benches: &[Benchmark]) -> Vec<Point<'_>> {
 /// # Errors
 /// The error of the lowest-indexed failing point.
 pub(crate) fn run_points(points: &[Point<'_>], jobs: usize) -> Result<Vec<RunOutcome>, RunError> {
-    let memo = CompileMemo::default();
-    crate::sweep::try_par_map(points, jobs, |&(bench, mode, ref config, options)| {
-        let (image, _) = memo.get(
-            source_of(bench, mode)?,
-            mode.schedule_mode(),
-            options,
-            config,
-        );
-        let image = image?;
+    let mut memo = CompileMemo::new();
+    let runs: Vec<(&Point<'_>, Option<usize>)> = points
+        .iter()
+        .map(|point @ &(bench, mode, ref config, options)| {
+            let key = bench.source(mode).map(|src| {
+                let key = memo.key(src, mode.schedule_mode(), options, config);
+                memo.expect(key);
+                key
+            });
+            (point, key)
+        })
+        .collect();
+    crate::sweep::try_par_map(&runs, jobs, |&(&(bench, mode, ref config, _), key)| {
+        let Some(key) = key else {
+            return Err(RunError::Unsupported {
+                bench: bench.name,
+                mode,
+            });
+        };
+        let claim = memo.claim(key);
+        let image = claim.image().0?;
         run_compiled(bench, &image, config.clone(), &Observe::default())
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::benchmarks;
+    use pc_isa::{InterconnectScheme, MemoryModel};
+
+    #[test]
+    fn points_of_a_key_share_one_image_freed_by_return() {
+        let matrix = &benchmarks::matrix();
+        let base = MachineConfig::baseline();
+        let configs = [
+            base.clone(),
+            base.clone()
+                .with_interconnect(InterconnectScheme::SharedBus),
+            base.clone().with_memory(MemoryModel::mem2()),
+        ];
+        let points: Vec<Point<'_>> = [MachineMode::Seq, MachineMode::Coupled]
+            .into_iter()
+            .flat_map(|mode| {
+                configs
+                    .iter()
+                    .map(move |config| (matrix, mode, config.clone(), CompileOptions::default()))
+            })
+            .collect();
+        for jobs in [1, 2] {
+            let watch = crate::runner::tests::Watch::install();
+            let outcomes = run_points(&points, jobs).unwrap();
+            assert_eq!(outcomes.len(), 6);
+            watch.assert_shared_and_freed(6, 2);
+            if jobs == 1 {
+                assert_eq!(watch.peak_live(), 1, "the first key outlived its points");
+            }
+        }
+    }
 }

@@ -690,6 +690,9 @@ struct Program<'a> {
     key: Option<KeyPrefix>,
 }
 
+/// One cell's row, or its id with the error that failed it.
+type CellResult = Result<SweepRow, (String, RunError)>;
+
 /// Runs a sweep.
 ///
 /// Block stealing across `opts.jobs` threads; each pending cell first
@@ -783,7 +786,36 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             programs.len() - 1
         }));
     }
-    let pending: Vec<(&SweepCell, usize)> = pending.into_iter().zip(program_of).collect();
+    // Plan the compile memo: one key per distinct (bench, mode, mix),
+    // counted once per pending cell so each image is freed after its
+    // key's last cell. Looking keys up per cell would hash the source
+    // for every cell, warm hits included. The other axes are runtime
+    // fields, so a key's cells share its compile target (a cell that
+    // did not would fail with `SimError::TargetMismatch`, never run a
+    // stale image).
+    let mut memo = CompileMemo::new();
+    let mut keys: Vec<(usize, Mix, usize)> = Vec::new();
+    let pending: Vec<(&SweepCell, usize, usize)> = pending
+        .into_iter()
+        .zip(program_of)
+        .map(|(cell, i)| {
+            let key = match keys.iter().find(|k| k.0 == i && k.1 == cell.mix) {
+                Some(k) => k.2,
+                None => {
+                    let key = memo.key(
+                        programs[i].source,
+                        cell.mode.schedule_mode(),
+                        CompileOptions::default(),
+                        &cell.config(),
+                    );
+                    keys.push((i, cell.mix, key));
+                    key
+                }
+            };
+            memo.expect(key);
+            (cell, i, key)
+        })
+        .collect();
 
     let mut sink: Option<std::io::BufWriter<std::fs::File>> = match &opts.out {
         Some(path) => {
@@ -815,11 +847,11 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             ))
         });
     let tel_ref = tel.as_deref();
-    let memo = CompileMemo::default();
-    let run_cell = |&(cell, i): &(&SweepCell, usize)| -> Result<SweepRow, (String, RunError)> {
+    let run_cell = |&(cell, i, compile_key): &(&SweepCell, usize, usize)| -> CellResult {
         let program = &programs[i];
         let config = cell.config();
         let t0 = Instant::now();
+        let claim = memo.claim(compile_key);
         let key = program.key.as_ref().map(|prefix| prefix.key(&config));
         if let (Some(cache), Some(key)) = (&cache, &key) {
             let hit = cache.lookup(key);
@@ -845,12 +877,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         } else if let Some(t) = tel_ref {
             t.cache_misses.inc();
         }
-        let (image, compile_ns) = memo.get(
-            program.source,
-            cell.mode.schedule_mode(),
-            CompileOptions::default(),
-            &config,
-        );
+        let (image, compile_ns) = claim.image();
         if let Some(t) = tel_ref {
             match compile_ns {
                 Some(ns) => {
@@ -861,7 +888,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             }
         }
         let out = image
-            .map_err(RunError::Compile)
             .and_then(|image| run_compiled(program.bench, &image, config, &Observe::default()))
             .map_err(|e| (cell.id(), e))?;
         if let (Some(cache), Some(key)) = (&cache, &key) {
@@ -1010,6 +1036,70 @@ mod tests {
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.index, i);
         }
+    }
+
+    #[test]
+    fn each_compile_key_runs_on_one_image_freed_after_its_last_cell() {
+        let spec = SweepSpec {
+            benches: vec!["matrix".into()],
+            modes: vec![MachineMode::Seq, MachineMode::Coupled],
+            interconnects: InterconnectScheme::all().to_vec(),
+            memories: MemKind::all().to_vec(),
+            mixes: vec![Mix::Baseline],
+            seed: 0,
+        };
+        for jobs in [1, 4] {
+            let watch = crate::runner::tests::Watch::install();
+            let run = run_sweep(
+                &spec,
+                &SweepOptions {
+                    jobs,
+                    ..SweepOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(run.rows.len(), 2 * 5 * 3);
+            watch.assert_shared_and_freed(2 * 5 * 3, 2);
+            // One worker takes a key's cells back to back, so it frees
+            // each image before building the next.
+            if jobs == 1 {
+                assert_eq!(watch.peak_live(), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn cache_hits_give_up_their_key_too() {
+        // Fill a cache with the Min-memory cells, then run the whole
+        // grid against it: each key's hits and misses interleave, and
+        // the image must still be gone once the sweep returns.
+        let dir = std::env::temp_dir().join(format!("pc-memo-hits-{}", std::process::id()));
+        let spec = |memories: Vec<MemKind>| SweepSpec {
+            benches: vec!["matrix".into()],
+            modes: vec![MachineMode::Seq, MachineMode::Coupled],
+            interconnects: vec![InterconnectScheme::Full, InterconnectScheme::SharedBus],
+            memories,
+            mixes: vec![Mix::Baseline],
+            seed: 0,
+        };
+        let opts = |jobs| SweepOptions {
+            jobs,
+            cache_dir: Some(dir.clone()),
+            ..SweepOptions::default()
+        };
+        for jobs in [1, 4] {
+            let _ = std::fs::remove_dir_all(&dir);
+            run_sweep(&spec(vec![MemKind::Min]), &opts(1)).unwrap();
+            let watch = crate::runner::tests::Watch::install();
+            let run = run_sweep(&spec(MemKind::all().to_vec()), &opts(jobs)).unwrap();
+            let hits = run.rows.iter().filter(|r| r.cached).count();
+            assert_eq!(hits, 4, "jobs {jobs}");
+            watch.assert_shared_and_freed(run.rows.len() - hits, 2);
+            if jobs == 1 {
+                assert_eq!(watch.peak_live(), 1, "a key outlived its cells");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

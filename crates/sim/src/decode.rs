@@ -207,9 +207,13 @@ pub(crate) struct DecSeg {
 }
 
 /// A program decoded for execution: validated once, then shareable
-/// across any number of [`crate::Machine`]s
-/// ([`crate::Machine::from_decoded`]) so repeated runs of the same code
-/// skip both validation and translation.
+/// across any number of [`crate::Machine`]s so repeated runs of the same
+/// code skip both validation and translation. Decode reads only the
+/// configuration's [compile target](MachineConfig::compile_target)
+/// (clusters, units, latencies, `max_dsts`), so an image decoded against
+/// the target runs under every configuration that shares it
+/// ([`crate::Machine::with_config`]); [`crate::Machine::from_decoded`]
+/// runs it under the configuration it was decoded against.
 #[derive(Debug)]
 pub struct DecodedProgram {
     pub(crate) config: MachineConfig,

@@ -44,6 +44,10 @@ pub enum SimError {
         /// The completion token of the offending load.
         token: u64,
     },
+    /// A machine was asked to run a decoded image under a configuration
+    /// whose [compile target](pc_isa::MachineConfig::compile_target)
+    /// differs from the one the image was decoded for.
+    TargetMismatch,
 }
 
 impl fmt::Display for SimError {
@@ -69,6 +73,10 @@ impl fmt::Display for SimError {
             SimError::MissingLoadValue { token } => {
                 write!(f, "load completion for token {token} carried no value")
             }
+            SimError::TargetMismatch => write!(
+                f,
+                "configuration's compile target differs from the decoded image's"
+            ),
         }
     }
 }
@@ -120,5 +128,8 @@ mod tests {
         assert!(SimError::MissingLoadValue { token: 6 }
             .to_string()
             .contains("token 6"));
+        assert!(SimError::TargetMismatch
+            .to_string()
+            .contains("compile target"));
     }
 }

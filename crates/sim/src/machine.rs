@@ -339,31 +339,45 @@ impl Machine {
     /// Returns [`SimError::Isa`] when the program fails
     /// [`pc_isa::validate_program`].
     pub fn new(config: MachineConfig, program: Program) -> Result<Self, SimError> {
-        Self::new_shared(config, Arc::new(program))
-    }
-
-    /// Like [`Machine::new`] but sharing an already-compiled program:
-    /// repeated runs of the same code (benchmark iterations, sweep
-    /// points) construct machines without cloning the program.
-    ///
-    /// # Errors
-    /// Returns [`SimError::Isa`] when the program fails
-    /// [`pc_isa::validate_program`].
-    pub fn new_shared(config: MachineConfig, program: Arc<Program>) -> Result<Self, SimError> {
-        let code = Arc::new(DecodedProgram::decode(config, program)?);
-        Self::from_decoded(code)
+        let code = DecodedProgram::decode(config, Arc::new(program))?;
+        Self::from_decoded(Arc::new(code))
     }
 
     /// Builds a machine from an already [decoded](DecodedProgram::decode)
     /// program, skipping validation and translation entirely — the
     /// cheapest way to construct machines in bulk (benchmark iterations,
-    /// sweep points) over the same code.
+    /// sweep points) over the same code. The machine runs under the
+    /// configuration the program was decoded against.
     ///
     /// # Errors
     /// Returns [`SimError::ThreadLimit`] if the configuration admits no
     /// thread to run the entry segment.
     pub fn from_decoded(code: Arc<DecodedProgram>) -> Result<Self, SimError> {
         let config = code.config().clone();
+        Self::build(code, config)
+    }
+
+    /// Builds a machine that runs `code` under `config`: the decoded
+    /// image supplies the program and everything decode precomputed from
+    /// the clusters, units and latencies, and `config` supplies the
+    /// runtime half (interconnect, memory model, arbitration, seed, …).
+    /// One image decoded against a
+    /// [compile target](MachineConfig::compile_target) thus serves every
+    /// configuration that shares it.
+    ///
+    /// # Errors
+    /// Returns [`SimError::TargetMismatch`] when `config`'s compile target
+    /// differs from that of the configuration `code` was decoded against,
+    /// and [`SimError::ThreadLimit`] if `config` admits no thread to run
+    /// the entry segment.
+    pub fn with_config(code: Arc<DecodedProgram>, config: MachineConfig) -> Result<Self, SimError> {
+        if config.compile_target() != code.config().compile_target() {
+            return Err(SimError::TargetMismatch);
+        }
+        Self::build(code, config)
+    }
+
+    fn build(code: Arc<DecodedProgram>, config: MachineConfig) -> Result<Self, SimError> {
         let program = Arc::clone(code.program());
         let n_units = config.units().len();
         let n_clusters = config.clusters().len();
@@ -1986,6 +2000,32 @@ mod tests {
     fn run_program(p: Program) -> RunStats {
         let mut m = Machine::new(MachineConfig::baseline(), p).unwrap();
         m.run(100_000).unwrap()
+    }
+
+    #[test]
+    fn with_config_shares_an_image_across_runtime_fields_only() {
+        let mut row = InstWord::new();
+        row.push(
+            FuId(0),
+            Operation::int(
+                IntOp::Add,
+                vec![Operand::ImmInt(2), Operand::ImmInt(3)],
+                r(0, 0),
+            ),
+        );
+        let program = Arc::new(program_of(vec![row], vec![1]));
+        let target = MachineConfig::baseline().compile_target();
+        let code = Arc::new(DecodedProgram::decode(target, program).unwrap());
+        let runtime = MachineConfig::baseline()
+            .with_interconnect(pc_isa::InterconnectScheme::SharedBus)
+            .with_seed(9);
+        let mut m = Machine::with_config(Arc::clone(&code), runtime.clone()).unwrap();
+        assert_eq!(m.config(), &runtime);
+        assert_eq!(m.run(100).unwrap().ops_issued, 1);
+        // Same program, other unit mix: a typed error, not a run on the
+        // image's units and latencies.
+        let other = Machine::with_config(code, MachineConfig::with_mix(2, 3));
+        assert!(matches!(other, Err(SimError::TargetMismatch)));
     }
 
     #[test]
