@@ -117,6 +117,9 @@ pub fn parse_program(text: &str) -> Result<Program, AsmError> {
                 line: ln,
                 msg: "operation before any .row".into(),
             })?;
+            if row.op_on(FuId(fu)).is_some() {
+                return err(ln, format!("row already has an operation on {}", FuId(fu)));
+            }
             row.push(FuId(fu), op);
         } else {
             return err(ln, format!("unrecognized line '{line}'"));
@@ -705,5 +708,14 @@ mod tests {
         assert!(err.to_string().contains("frob"));
         assert!(parse_program("garbage").is_err());
         assert!(parse_program(".row").is_err()); // outside a segment
+    }
+
+    #[test]
+    fn a_unit_named_twice_in_one_row_is_an_error() {
+        let text = ".segment s\n.row\n  u0: halt\n  u0: halt\n";
+        let err = parse_program(text).unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.to_string().contains("u0"), "{err}");
+        assert_eq!(parse_program_with_debug(text).unwrap_err(), err);
     }
 }

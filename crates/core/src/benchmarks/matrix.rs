@@ -6,8 +6,6 @@
 use super::{check_close, read_floats, write_floats, Benchmark};
 use pc_sim::Machine;
 
-const N: usize = 9;
-
 fn globals() -> String {
     "(const n 9)
      (global ma (array float 81))
@@ -28,40 +26,49 @@ fn body(i: &str, j: &str) -> String {
     )
 }
 
-/// Deterministic input matrices.
-pub(crate) fn inputs() -> (Vec<f64>, Vec<f64>) {
-    let a: Vec<f64> = (0..N * N).map(|x| 0.25 * ((x % 7) as f64) - 0.75).collect();
-    let b: Vec<f64> = (0..N * N).map(|x| 0.5 * ((x % 5) as f64) - 1.0).collect();
+/// Deterministic `n × n` input matrices.
+fn inputs(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let a: Vec<f64> = (0..n * n).map(|x| 0.25 * ((x % 7) as f64) - 0.75).collect();
+    let b: Vec<f64> = (0..n * n).map(|x| 0.5 * ((x % 5) as f64) - 1.0).collect();
     (a, b)
 }
 
-/// Reference 9×9 matmul.
-pub(crate) fn reference() -> Vec<f64> {
-    let (a, b) = inputs();
-    let mut c = vec![0.0; N * N];
-    for i in 0..N {
-        for j in 0..N {
+/// Reference `n × n` matmul.
+fn reference(n: usize) -> Vec<f64> {
+    let (a, b) = inputs(n);
+    let mut c = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
             let mut s = 0.0;
-            for k in 0..N {
-                s += a[i * N + k] * b[k * N + j];
+            for k in 0..n {
+                s += a[i * n + k] * b[k * n + j];
             }
-            c[i * N + j] = s;
+            c[i * n + j] = s;
         }
     }
     c
 }
 
-fn setup(m: &mut Machine) -> Result<(), pc_sim::SimError> {
-    let (a, b) = inputs();
+/// The side `n` of the `n × n` multiply loaded in `m`, read from the
+/// length of its `ma` global, so the hooks serve every problem size.
+fn side(m: &Machine) -> usize {
+    let len = m.program().symbol("ma").map_or(0, |s| s.len);
+    (len as f64).sqrt().round() as usize
+}
+
+/// Writes the inputs and empties the `done` cells.
+pub(crate) fn setup(m: &mut Machine) -> Result<(), pc_sim::SimError> {
+    let (a, b) = inputs(side(m));
     write_floats(m, "ma", &a)?;
     write_floats(m, "mb", &b)?;
     m.set_global_empty("done")?;
     Ok(())
 }
 
-fn check(m: &mut Machine) -> Result<(), String> {
+/// Checks `mc` against the reference product.
+pub(crate) fn check(m: &mut Machine) -> Result<(), String> {
     let got = read_floats(m, "mc")?;
-    check_close("mc", &got, &reference(), 1e-9)
+    check_close("mc", &got, &reference(side(m)), 1e-9)
 }
 
 /// Builds the Matrix benchmark.
@@ -111,10 +118,10 @@ mod tests {
 
     #[test]
     fn reference_is_consistent() {
-        let c = reference();
+        let c = reference(9);
         assert_eq!(c.len(), 81);
         // Spot-check one entry by hand.
-        let (a, b) = inputs();
+        let (a, b) = inputs(9);
         let mut s = 0.0;
         for k in 0..9 {
             s += a[2 * 9 + k] * b[k * 9 + 5];

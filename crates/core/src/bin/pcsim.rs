@@ -254,7 +254,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         out.stats.xconn.grants,
         out.stats.xconn.denials
     );
-    outln!("peak regs   {} per cluster", out.peak_registers);
+    outln!("peak regs   {} per cluster", out.image.peak_registers);
     Ok(())
 }
 
@@ -322,11 +322,11 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         outln!("{} / {}: validated ✓", bench.name, mode.label());
         outln!(
             "{}\n",
-            coupling::report::source_report(&out.stats, &out.debug, src.as_deref())
+            coupling::report::source_report(&out.stats, &out.image.debug, src.as_deref())
         );
         tables.push((
             mode,
-            coupling::report::source_table(&out.stats, &out.debug),
+            coupling::report::source_table(&out.stats, &out.image.debug),
             src,
         ));
     }

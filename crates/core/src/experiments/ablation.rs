@@ -264,7 +264,7 @@ fn run_studies(
             })
         })
         .collect();
-    let mut outs = run_points(&points, jobs)?.into_iter();
+    let mut cycles = run_points(&points, jobs, |_, out| out.stats.cycles)?.into_iter();
     Ok(studies
         .iter()
         .map(|study| AblationResults {
@@ -272,11 +272,11 @@ fn run_studies(
             rows: benches
                 .iter()
                 .flat_map(|b| study.variants.iter().map(move |v| (b, v.0)))
-                .zip(outs.by_ref())
-                .map(|((b, label), out)| AblationRow {
+                .zip(cycles.by_ref())
+                .map(|((b, label), cycles)| AblationRow {
                     bench: b.name.to_string(),
                     variant: label.to_string(),
-                    cycles: out.stats.cycles,
+                    cycles,
                 })
                 .collect(),
         })

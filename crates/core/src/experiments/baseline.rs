@@ -99,22 +99,17 @@ impl BaselineResults {
 /// Propagates the first (lowest grid-index) failure.
 pub fn run(benches: &[Benchmark], jobs: usize) -> Result<BaselineResults, RunError> {
     let points = every_mode(benches);
-    let outs = run_points(&points, jobs)?;
-    let rows = points
-        .iter()
-        .zip(outs)
-        .map(|(&(b, mode, ..), out)| BaselineRow {
-            bench: b.name.to_string(),
-            mode,
-            cycles: out.stats.cycles,
-            ops: out.stats.ops_issued,
-            utilization: UnitClass::all()
-                .into_iter()
-                .map(|c| (c, out.stats.utilization(c)))
-                .collect(),
-            peak_registers: out.peak_registers,
-        })
-        .collect();
+    let rows = run_points(&points, jobs, |&(b, mode, ..), out| BaselineRow {
+        bench: b.name.to_string(),
+        mode,
+        cycles: out.stats.cycles,
+        ops: out.stats.ops_issued,
+        utilization: UnitClass::all()
+            .into_iter()
+            .map(|c| (c, out.stats.utilization(c)))
+            .collect(),
+        peak_registers: out.image.peak_registers,
+    })?;
     Ok(BaselineResults { rows })
 }
 

@@ -105,17 +105,12 @@ pub fn run(benches: &[Benchmark], jobs: usize) -> Result<CommResults, RunError> 
             })
         })
         .collect();
-    let outs = run_points(&points, jobs)?;
-    let rows = points
-        .iter()
-        .zip(outs)
-        .map(|((b, _, config, _), out)| CommRow {
-            bench: b.name.to_string(),
-            scheme: config.interconnect,
-            cycles: out.stats.cycles,
-            denials: out.stats.xconn.denials,
-        })
-        .collect();
+    let rows = run_points(&points, jobs, |(b, _, config, _), out| CommRow {
+        bench: b.name.to_string(),
+        scheme: config.interconnect,
+        cycles: out.stats.cycles,
+        denials: out.stats.xconn.denials,
+    })?;
     let baseline = MachineConfig::baseline();
     let area_ratios = InterconnectScheme::all()
         .into_iter()

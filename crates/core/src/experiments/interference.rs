@@ -3,13 +3,13 @@
 //! scheduled loops dilate at runtime according to priority, yet the
 //! aggregate beats the single-threaded STS machine.
 
-use crate::benchmarks::{model_queue_coupled, model_queue_sts, Benchmark};
+use super::run_points;
+use crate::benchmarks::{model_queue_coupled, model_queue_sts};
 use crate::report::{f2, Table};
-use crate::runner::{run_compiled, source_of, CompiledBenchmark, Observe, RunError, RunOutcome};
+use crate::runner::{RunError, RunOutcome};
 use crate::MachineMode;
 use pc_compiler::CompileOptions;
 use pc_isa::{ArbitrationPolicy, BranchOp, MachineConfig, OpKind, Program, SegmentId};
-use std::sync::Arc;
 
 /// Per-thread measurement.
 #[derive(Debug, Clone)]
@@ -125,44 +125,34 @@ fn worker_probe_rows(out: &RunOutcome) -> Vec<(u32, f64, usize)> {
         .collect()
 }
 
-/// Compiles and runs `bench` once, returning the outcome together with
-/// the program it ran (whose loop schedules the table reports).
-fn run_one(
-    bench: &Benchmark,
-    mode: MachineMode,
-    config: MachineConfig,
-) -> Result<(RunOutcome, Arc<Program>), RunError> {
-    let image = CompiledBenchmark::compile(
-        source_of(bench, mode)?,
-        mode.schedule_mode(),
-        &config,
-        CompileOptions::default(),
-    )?;
-    let out = run_compiled(bench, &image, config, &Observe::default())?;
-    Ok((out, Arc::clone(image.code.program())))
-}
-
 /// Runs the interference study.
 ///
 /// # Errors
 /// Propagates pipeline failures.
 pub fn run() -> Result<InterferenceResults, RunError> {
-    // STS comparison point: one thread, unrestricted clusters.
-    let (sts, sts_program) = run_one(
-        &model_queue_sts(),
-        MachineMode::Sts,
-        MachineConfig::baseline(),
-    )?;
-    // Coupled: four workers under fixed priority.
-    let (coupled, coupled_program) = run_one(
-        &model_queue_coupled(),
-        MachineMode::Coupled,
-        MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority),
-    )?;
+    let (sts_bench, coupled_bench) = (model_queue_sts(), model_queue_coupled());
+    let points = [
+        // STS comparison point: one thread, unrestricted clusters.
+        (
+            &sts_bench,
+            MachineMode::Sts,
+            MachineConfig::baseline(),
+            CompileOptions::default(),
+        ),
+        // Coupled: four workers under fixed priority.
+        (
+            &coupled_bench,
+            MachineMode::Coupled,
+            MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority),
+            CompileOptions::default(),
+        ),
+    ];
+    let outs = run_points(&points, 1, |_, out| out)?;
+    let (sts, coupled) = (&outs[0], &outs[1]);
 
     let mut rows = Vec::new();
     // STS row: static loop of the main segment.
-    let sts_probes = worker_probe_rows(&sts);
+    let sts_probes = worker_probe_rows(sts);
     let (mut sts_rt, mut sts_devices) = (0.0, 20);
     if let Some(&(_, m, n)) = sts_probes.first() {
         sts_rt = m;
@@ -171,7 +161,7 @@ pub fn run() -> Result<InterferenceResults, RunError> {
     rows.push(ThreadRow {
         mode: "STS",
         thread: 1,
-        compile_time_schedule: loop_body_rows(&sts_program, SegmentId(0)),
+        compile_time_schedule: loop_body_rows(sts.image.code.program(), SegmentId(0)),
         runtime_cycles: sts_rt,
         devices: sts_devices,
     });
@@ -180,7 +170,7 @@ pub fn run() -> Result<InterferenceResults, RunError> {
     // Worker segments are the forall variants (ids 1..=k); report the
     // *shortest* variant's loop as the nominal compile-time schedule the
     // way the paper quotes one number per thread.
-    for (i, (t, m, n)) in worker_probe_rows(&coupled).into_iter().enumerate() {
+    for (i, (t, m, n)) in worker_probe_rows(coupled).into_iter().enumerate() {
         let seg = coupled
             .stats
             .thread_spans
@@ -190,7 +180,7 @@ pub fn run() -> Result<InterferenceResults, RunError> {
         rows.push(ThreadRow {
             mode: "Coupled",
             thread: i + 1,
-            compile_time_schedule: loop_body_rows(&coupled_program, seg),
+            compile_time_schedule: loop_body_rows(coupled.image.code.program(), seg),
             runtime_cycles: m,
             devices: n,
         });

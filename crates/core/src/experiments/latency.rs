@@ -151,12 +151,12 @@ pub fn run(benches: &[Benchmark], jobs: usize) -> Result<LatencyResults, RunErro
             })
         })
         .collect();
-    let mut outs = run_points(&points, jobs)?.into_iter();
+    let mut cycles = run_points(&points, jobs, |_, out| out.stats.cycles)?.into_iter();
     let rows = groups
         .into_iter()
         .map(|(b, mode, model)| {
             let n = seeds(model).len();
-            let total: u64 = outs.by_ref().take(n).map(|o| o.stats.cycles).sum();
+            let total: u64 = cycles.by_ref().take(n).sum();
             LatencyRow {
                 bench: b.name.to_string(),
                 mode,

@@ -90,15 +90,15 @@ pub fn run(benches: &[Benchmark], n: usize, jobs: usize) -> Result<MixResults, R
             (b, MachineMode::Coupled, config, CompileOptions::default())
         })
         .collect();
-    let outs = run_points(&points, jobs)?;
+    let cycles = run_points(&points, jobs, |_, out| out.stats.cycles)?;
     let rows = grid
         .into_iter()
-        .zip(outs)
-        .map(|((b, ius, fpus), out)| MixRow {
+        .zip(cycles)
+        .map(|((b, ius, fpus), cycles)| MixRow {
             bench: b.name.to_string(),
             ius,
             fpus,
-            cycles: out.stats.cycles,
+            cycles,
         })
         .collect();
     Ok(MixResults { rows })

@@ -14,16 +14,17 @@
 //!
 //! Every table is a list of points sampled from one grid — benchmark ×
 //! mode × machine configuration × compiler options. Each module exposes
-//! one `run` entry that builds its point list, runs it through the shared
-//! grid runner (one compile per distinct compile key, fanned over `jobs`
-//! workers with serial-identical ordering), and folds the outcomes into
-//! structured results with a `render()` producing the paper-style text
-//! table; `pcsim tables`, the `paper_tables` example and the integration
-//! tests all share that one implementation.
+//! one `run` entry that builds its point list, runs it through
+//! [`run_points`] (one compile per distinct compile key, fanned over
+//! `jobs` workers with serial-identical ordering), and folds the
+//! outcomes into structured results with a `render()` producing the
+//! paper-style text table; `pcsim tables`, the `paper_tables` example and
+//! the integration tests all share that one implementation. No module
+//! compiles, builds a machine or fans out work on its own.
 
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
-use crate::runner::{run_compiled, CompileMemo, Observe, RunError, RunOutcome};
+use crate::runner::{CompileMemo, RunError, RunOutcome};
 use pc_compiler::CompileOptions;
 use pc_isa::MachineConfig;
 
@@ -61,15 +62,22 @@ pub(crate) fn every_mode(benches: &[Benchmark]) -> Vec<Point<'_>> {
         .collect()
 }
 
-/// Runs every point over `jobs` workers, returning the outcomes in point
-/// order. Points that share a source, schedule mode, compiler options and
-/// compile target share one compile for the length of the call.
+/// Runs every point over `jobs` workers and folds each outcome with
+/// `fold` on the worker that ran it, returning the folded values in
+/// point order. Points that share a source, schedule mode, compiler
+/// options and compile target share one compile for the length of the
+/// call; a key's image is freed once its last point has been folded,
+/// unless `fold` keeps [`RunOutcome::image`].
 ///
 /// # Errors
 /// The error of the lowest-indexed failing point.
-pub(crate) fn run_points(points: &[Point<'_>], jobs: usize) -> Result<Vec<RunOutcome>, RunError> {
+pub(crate) fn run_points<'a, T: Send>(
+    points: &[Point<'a>],
+    jobs: usize,
+    fold: impl Fn(&Point<'a>, RunOutcome) -> T + Sync,
+) -> Result<Vec<T>, RunError> {
     let mut memo = CompileMemo::new();
-    let runs: Vec<(&Point<'_>, Option<usize>)> = points
+    let runs: Vec<(&Point<'a>, Option<usize>)> = points
         .iter()
         .map(|point @ &(bench, mode, ref config, options)| {
             let key = bench.source(mode).map(|src| {
@@ -80,16 +88,14 @@ pub(crate) fn run_points(points: &[Point<'_>], jobs: usize) -> Result<Vec<RunOut
             (point, key)
         })
         .collect();
-    crate::sweep::try_par_map(&runs, jobs, |&(&(bench, mode, ref config, _), key)| {
-        let Some(key) = key else {
-            return Err(RunError::Unsupported {
-                bench: bench.name,
-                mode,
-            });
-        };
-        let claim = memo.claim(key);
-        let image = claim.image().0?;
-        run_compiled(bench, &image, config.clone(), &Observe::default())
+    crate::sweep::try_par_map(&runs, jobs, |&(point, key)| {
+        let &(bench, mode, ref config, _) = point;
+        let key = key.ok_or(RunError::Unsupported {
+            bench: bench.name,
+            mode,
+        })?;
+        let out = memo.claim(key).run(bench, config.clone()).0?;
+        Ok(fold(point, out))
     })
 }
 
@@ -119,7 +125,7 @@ mod tests {
             .collect();
         for jobs in [1, 2] {
             let watch = crate::runner::tests::Watch::install();
-            let outcomes = run_points(&points, jobs).unwrap();
+            let outcomes = run_points(&points, jobs, |_, out| out.stats.cycles).unwrap();
             assert_eq!(outcomes.len(), 6);
             watch.assert_shared_and_freed(6, 2);
             if jobs == 1 {

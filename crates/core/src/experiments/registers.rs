@@ -97,34 +97,29 @@ impl RegisterResults {
 /// Propagates the first (lowest grid-index) failure.
 pub fn run(benches: &[Benchmark], jobs: usize) -> Result<RegisterResults, RunError> {
     let points = every_mode(benches);
-    let outs = run_points(&points, jobs)?;
-    let rows = points
-        .iter()
-        .zip(outs)
-        .map(|(&(b, mode, ..), out)| {
-            // Mean per-cluster peak over clusters that hold any register,
-            // over all segments.
-            let (mut total, mut used) = (0u64, 0u64);
-            for seg in &out.segments {
-                for &c in &seg.regs_per_cluster {
-                    if c > 0 {
-                        total += c as u64;
-                        used += 1;
-                    }
+    let rows = run_points(&points, jobs, |&(b, mode, ..), out| {
+        // Mean per-cluster peak over clusters that hold any register,
+        // over all segments.
+        let (mut total, mut used) = (0u64, 0u64);
+        for seg in &out.image.info {
+            for &c in &seg.regs_per_cluster {
+                if c > 0 {
+                    total += c as u64;
+                    used += 1;
                 }
             }
-            RegisterRow {
-                bench: b.name.to_string(),
-                mode,
-                peak: out.peak_registers,
-                mean_used: if used == 0 {
-                    0.0
-                } else {
-                    total as f64 / used as f64
-                },
-            }
-        })
-        .collect();
+        }
+        RegisterRow {
+            bench: b.name.to_string(),
+            mode,
+            peak: out.image.peak_registers,
+            mean_used: if used == 0 {
+                0.0
+            } else {
+                total as f64 / used as f64
+            },
+        }
+    })?;
     Ok(RegisterResults { rows })
 }
 

@@ -4,12 +4,13 @@
 //! (the thread supply grows with the problem), while the per-iteration
 //! loop overheads amortize for both.
 
+use super::{run_points, Point};
+use crate::benchmarks::{matrix, Benchmark};
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{RunError, CYCLE_LIMIT};
-use pc_compiler::compile;
-use pc_isa::{MachineConfig, Value};
-use pc_sim::Machine;
+use crate::runner::RunError;
+use pc_compiler::CompileOptions;
+use pc_isa::MachineConfig;
 
 /// One size × mode measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,50 +102,21 @@ fn source(n: usize, threaded: bool) -> String {
     }
 }
 
-fn inputs(n: usize) -> (Vec<f64>, Vec<f64>) {
-    let a = (0..n * n).map(|x| 0.25 * ((x % 7) as f64) - 0.75).collect();
-    let b = (0..n * n).map(|x| 0.5 * ((x % 5) as f64) - 1.0).collect();
-    (a, b)
+/// The `n × n` multiply as a benchmark. Matrix's setup and check read
+/// `n` from the length of `ma`, so they serve every size.
+fn bench(n: usize) -> Benchmark {
+    Benchmark {
+        name: "Matrix",
+        seq_src: source(n, false),
+        threaded_src: source(n, true),
+        ideal_src: None,
+        setup: matrix::setup,
+        check: matrix::check,
+    }
 }
 
-/// Runs one size × mode point, validating numerically.
-fn run_point(n: usize, mode: MachineMode) -> Result<u64, RunError> {
-    let config = MachineConfig::baseline();
-    let out = compile(
-        &source(n, mode.is_threaded()),
-        &config,
-        mode.schedule_mode(),
-    )?;
-    let mut m = Machine::new(config, out.program)?;
-    let (a, b) = inputs(n);
-    let write = |m: &mut Machine, name: &str, xs: &[f64]| {
-        let vals: Vec<Value> = xs.iter().map(|&x| Value::Float(x)).collect();
-        m.write_global(name, &vals)
-    };
-    write(&mut m, "ma", &a)?;
-    write(&mut m, "mb", &b)?;
-    m.set_global_empty("done")?;
-    let stats = m.run(CYCLE_LIMIT)?;
-    // Validate against a straightforward reference.
-    let got = m.read_global("mc")?;
-    for i in 0..n {
-        for j in 0..n {
-            let mut want = 0.0;
-            for k in 0..n {
-                want += a[i * n + k] * b[k * n + j];
-            }
-            let g = got[i * n + j]
-                .as_float()
-                .map_err(|e| RunError::Check(format!("mc[{i}][{j}]: {e}")))?;
-            if (g - want).abs() > 1e-9 * (1.0 + want.abs()) {
-                return Err(RunError::Check(format!(
-                    "n={n} {mode}: mc[{i}][{j}] got {g}, want {want}"
-                )));
-            }
-        }
-    }
-    Ok(stats.cycles)
-}
+/// The modes compared at each size.
+const MODES: [MachineMode; 2] = [MachineMode::Sts, MachineMode::Coupled];
 
 /// The default sizes (4–24; 24 spawns 24 threads + main, within budget).
 pub const SIZES: [usize; 4] = [4, 9, 16, 24];
@@ -155,17 +127,27 @@ pub const SIZES: [usize; 4] = [4, 9, 16, 24];
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
 pub fn run(sizes: &[usize], jobs: usize) -> Result<ScalingResults, RunError> {
-    let points: Vec<(usize, MachineMode)> = sizes
+    let benches: Vec<Benchmark> = sizes.iter().map(|&n| bench(n)).collect();
+    let points: Vec<Point> = benches
         .iter()
-        .flat_map(|&n| [MachineMode::Sts, MachineMode::Coupled].map(|mode| (n, mode)))
-        .collect();
-    let rows = crate::sweep::try_par_map(&points, jobs, |&(n, mode)| -> Result<_, RunError> {
-        Ok(ScalingRow {
-            n,
-            mode,
-            cycles: run_point(n, mode)?,
+        .flat_map(|b| {
+            MODES.map(|mode| {
+                (
+                    b,
+                    mode,
+                    MachineConfig::baseline(),
+                    CompileOptions::default(),
+                )
+            })
         })
-    })?;
+        .collect();
+    let cycles = run_points(&points, jobs, |_, out| out.stats.cycles)?;
+    let rows = sizes
+        .iter()
+        .flat_map(|&n| MODES.map(|mode| (n, mode)))
+        .zip(cycles)
+        .map(|((n, mode), cycles)| ScalingRow { n, mode, cycles })
+        .collect();
     Ok(ScalingResults { rows })
 }
 

@@ -25,15 +25,12 @@ pub const CYCLE_LIMIT: u64 = 20_000_000;
 pub struct RunOutcome {
     /// Simulator statistics (cycle count, utilizations, probes, …).
     pub stats: RunStats,
-    /// Compiler diagnostics per segment.
-    pub segments: Vec<SegmentInfo>,
-    /// Peak per-cluster register count over all segments.
-    pub peak_registers: u32,
-    /// Source-provenance side table from the compiler (empty for
-    /// programs built without debug info — reports then fall back to
-    /// "no provenance"). Shared with the [`CompiledBenchmark`] it came
-    /// from.
-    pub debug: Arc<DebugMap>,
+    /// The compiled image the run simulated: program, per-segment
+    /// compiler diagnostics, source provenance (empty for programs built
+    /// without debug info — reports then fall back to "no provenance")
+    /// and peak register count. Shared, not copied, with every other run
+    /// of its compile key.
+    pub image: Arc<CompiledBenchmark>,
     /// The issue engine that actually produced the run. May differ from
     /// the requested engine only when the machine forces a fallback
     /// (more than 64 units clamps to the scan engine).
@@ -153,24 +150,17 @@ pub fn run_benchmark_observed(
     config: MachineConfig,
     observe: &Observe,
 ) -> Result<RunOutcome, RunError> {
+    let src = bench.source(mode).ok_or(RunError::Unsupported {
+        bench: bench.name,
+        mode,
+    })?;
     let compiled = CompiledBenchmark::compile(
-        source_of(bench, mode)?,
+        src,
         mode.schedule_mode(),
         &config,
         CompileOptions::default(),
     )?;
-    run_compiled(bench, &compiled, config, observe)
-}
-
-/// `bench`'s source text for `mode`.
-///
-/// # Errors
-/// [`RunError::Unsupported`] when the benchmark has no source for `mode`.
-pub(crate) fn source_of(bench: &Benchmark, mode: MachineMode) -> Result<&str, RunError> {
-    bench.source(mode).ok_or(RunError::Unsupported {
-        bench: bench.name,
-        mode,
-    })
+    run_compiled(bench, Arc::new(compiled), config, observe)
 }
 
 /// A benchmark compiled for one mode and compile target, and decoded for
@@ -185,7 +175,7 @@ pub struct CompiledBenchmark {
     /// Compiler diagnostics per segment.
     pub info: Vec<SegmentInfo>,
     /// Source-provenance side table.
-    pub debug: Arc<DebugMap>,
+    pub debug: DebugMap,
     /// Peak per-cluster register count over all segments.
     pub peak_registers: u32,
 }
@@ -223,7 +213,7 @@ impl CompiledBenchmark {
         Ok(CompiledBenchmark {
             code: Arc::new(code),
             info: out.info,
-            debug: Arc::new(out.debug),
+            debug: out.debug,
             peak_registers,
         })
     }
@@ -351,10 +341,15 @@ pub(crate) struct Claim<'m, 'a> {
 }
 
 impl Claim<'_, '_> {
-    /// The key's image, built by this call if no earlier run built it,
-    /// plus the build time (compile and decode) when it did (`None` for
-    /// a reuse).
-    pub(crate) fn image(&self) -> (Result<Arc<CompiledBenchmark>, RunError>, Option<u64>) {
+    /// Runs `bench` under `config` on the key's image (see
+    /// [`run_compiled`]), building the image first if no earlier run of
+    /// the key did. Also returns the build time (compile and decode)
+    /// when this run built it, `None` for a reuse.
+    pub(crate) fn run(
+        &self,
+        bench: &Benchmark,
+        config: MachineConfig,
+    ) -> (Result<RunOutcome, RunError>, Option<u64>) {
         let key = &self.memo.keys[self.key];
         let mut slot = key.slot.lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(slot.pending > 0, "claim on a key with no runs left");
@@ -370,7 +365,12 @@ impl Claim<'_, '_> {
         if let (Some(w), Ok(image)) = (&self.memo.watch, &*image) {
             w.saw(self.key, &image.code);
         }
-        (image.clone().map_err(RunError::from), build_ns)
+        let image = image.clone();
+        drop(slot);
+        let out = image
+            .map_err(RunError::from)
+            .and_then(|image| run_compiled(bench, image, config, &Observe::default()));
+        (out, build_ns)
     }
 }
 
@@ -391,7 +391,8 @@ impl Drop for Claim<'_, '_> {
 /// `config` and validates its output. `config` supplies the runtime
 /// fields (interconnect, memory, seed, …) and must share the compile
 /// target the image was decoded for. The machine shares the decoded
-/// image; nothing is copied or decoded again.
+/// image and the outcome keeps the image itself; nothing is copied or
+/// decoded again.
 ///
 /// # Errors
 /// See [`RunError`]; a `config` with a different compile target fails
@@ -399,7 +400,7 @@ impl Drop for Claim<'_, '_> {
 /// that cannot be created surface as [`RunError::Io`].
 pub fn run_compiled(
     bench: &Benchmark,
-    compiled: &CompiledBenchmark,
+    compiled: Arc<CompiledBenchmark>,
     config: MachineConfig,
     observe: &Observe,
 ) -> Result<RunOutcome, RunError> {
@@ -424,7 +425,7 @@ pub fn run_compiled(
         let f = create_sink_file(path)?;
         fan = fan.with(Box::new(ChromeTraceSink::with_debug(
             BufWriter::new(f),
-            DebugMap::clone(&compiled.debug),
+            compiled.debug.clone(),
         )));
     }
     if !fan.is_empty() {
@@ -441,9 +442,7 @@ pub fn run_compiled(
     (bench.check)(&mut machine).map_err(RunError::Check)?;
     Ok(RunOutcome {
         stats,
-        segments: compiled.info.clone(),
-        peak_registers: compiled.peak_registers,
-        debug: Arc::clone(&compiled.debug),
+        image: compiled,
         engine,
         host_profile,
     })
@@ -561,14 +560,15 @@ pub(crate) mod tests {
             Machine::with_config(Arc::clone(&image.code), mix.clone()),
             Err(SimError::TargetMismatch)
         ));
-        let err = run_compiled(&b, &image, mix, &Observe::default()).unwrap_err();
+        let image = Arc::new(image);
+        let err = run_compiled(&b, Arc::clone(&image), mix, &Observe::default()).unwrap_err();
         assert!(
             matches!(err, RunError::Sim(SimError::TargetMismatch)),
             "{err}"
         );
         // A runtime-only change of the same target runs.
         let bus = base.with_interconnect(pc_isa::InterconnectScheme::SharedBus);
-        run_compiled(&b, &image, bus, &Observe::default()).unwrap();
+        run_compiled(&b, image, bus, &Observe::default()).unwrap();
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * the **configuration fingerprint**: every field of
 //!   [`MachineConfig`], floats by bit pattern.
 //!
-//! A sweep hashes the part of the key text that depends only on
-//! `(bench, mode)` once ([`KeyPrefix`]) and finishes each cell's key
+//! [`cache_key`] hashes the part of the key text that depends only on
+//! `(bench, mode)` into a [`KeyPrefix`] and finishes it under the
+//! configuration; a sweep keeps the prefix and finishes each cell's key
 //! from a copy of that hash state.
 //!
 //! Entries are single JSON files under the cache directory named by
@@ -36,6 +37,15 @@ use std::path::{Path, PathBuf};
 /// change to the entry format, the codec, or the runner's behaviour
 /// (e.g. the cycle budget) — old entries then miss and are recomputed.
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
+
+/// SHA-256 over `tests/golden/{compile,tables,explain_matrix,
+/// explain_matrix_bus}.txt`, concatenated in that order, as last checked
+/// against [`CACHE_SCHEMA_VERSION`]. Those goldens pin what compiles and
+/// runs produce; when they move, entries written before may hold
+/// results the program no longer computes, so a test fails until this
+/// digest is updated — together with the schema version whenever
+/// results changed.
+pub const GOLDENS_SHA256: &str = "db8c31ff1cfb6ee2a29a3f5fdf29c280f6d01b513a6a5333c5dc27c4388168ee";
 
 // ---------------------------------------------------------------------
 // SHA-256 (pure Rust; the offline build has no hashing crate)
@@ -226,34 +236,16 @@ pub fn config_fingerprint(config: &MachineConfig) -> String {
 /// `(bench, mode)`; the compiled program is a pure function of it, the
 /// mode's schedule restriction, and the configuration, so hashing the
 /// inputs is equivalent to hashing the program — and cheaper than
-/// compiling just to decide whether to skip compiling. A sweep derives
-/// the same key through [`KeyPrefix`], hashing the source once.
+/// compiling just to decide whether to skip compiling. This is a
+/// [`KeyPrefix`] finished under `config`; a sweep keeps the prefix and
+/// finishes one key per cell.
 pub fn cache_key(bench: &str, mode: MachineMode, source: &str, config: &MachineConfig) -> String {
-    let text = format!("{}{source}{}", key_head(bench, mode), key_tail(config));
-    sha256_hex(text.as_bytes())
-}
-
-/// The key text before the source: schema, bench and mode.
-fn key_head(bench: &str, mode: MachineMode) -> String {
-    format!(
-        "pc-sweep-cache-v{CACHE_SCHEMA_VERSION}\nbench={bench}\nmode={}\nschedule={:?}\nsource=",
-        mode.label(),
-        mode.schedule_mode(),
-    )
-}
-
-/// The key text after the source: the configuration and cycle budget.
-fn key_tail(config: &MachineConfig) -> String {
-    format!(
-        "\nconfig={}\ncycle_limit={}\n",
-        config_fingerprint(config),
-        crate::runner::CYCLE_LIMIT,
-    )
+    KeyPrefix::new(bench, mode, source).key(config)
 }
 
 /// The hashed part of [`cache_key`]'s text that depends only on
-/// `(bench, mode)`: everything up to and including the source. A sweep
-/// builds one per distinct `(bench, mode)` and finishes each cell's key
+/// `(bench, mode)`: schema, bench, mode and the source. A sweep builds
+/// one per distinct `(bench, mode, mix)` and finishes each cell's key
 /// from a copy, instead of hashing the source again for every cell.
 #[derive(Debug, Clone)]
 pub struct KeyPrefix(Sha256);
@@ -262,16 +254,30 @@ impl KeyPrefix {
     /// Hashes the key text up to and including `source`.
     pub fn new(bench: &str, mode: MachineMode, source: &str) -> KeyPrefix {
         let mut h = Sha256::new();
-        h.update(key_head(bench, mode).as_bytes());
+        h.update(
+            format!(
+                "pc-sweep-cache-v{CACHE_SCHEMA_VERSION}\nbench={bench}\nmode={}\nschedule={:?}\nsource=",
+                mode.label(),
+                mode.schedule_mode(),
+            )
+            .as_bytes(),
+        );
         h.update(source.as_bytes());
         KeyPrefix(h)
     }
 
-    /// The cache key of this program under `config`; equal to
-    /// [`cache_key`] of the same inputs.
+    /// The cache key of this program under `config`: the prefix finished
+    /// with the configuration fingerprint and the cycle budget.
     pub fn key(&self, config: &MachineConfig) -> String {
         let mut h = self.0.clone();
-        h.update(key_tail(config).as_bytes());
+        h.update(
+            format!(
+                "\nconfig={}\ncycle_limit={}\n",
+                config_fingerprint(config),
+                crate::runner::CYCLE_LIMIT,
+            )
+            .as_bytes(),
+        );
         h.finish()
     }
 }

@@ -9,9 +9,9 @@
 //! `benchmarks × modes × interconnect schemes × memory models × FU
 //! mixes`; [`SweepSpec`] describes any sub-grid of it, and
 //! [`run_sweep`] executes one for `pcsim sweep` and perfbench. The
-//! experiment harness runs its point lists through the same two shared
-//! pieces — the block-stealing pool and the runner's compile memo — but
-//! without the cache or the JSONL stream.
+//! experiment harness runs its point lists through the same shared
+//! pieces — the block-stealing pool, the runner's compile memo and its
+//! per-run step — but without the cache or the JSONL stream.
 //!
 //! Determinism contract: the rows of a sweep (and the JSONL lines,
 //! after zeroing the per-row `wall_ns` and `cached` fields) are a pure
@@ -27,7 +27,7 @@ use super::pool::run_pool;
 use super::telemetry::SweepTelemetry;
 use crate::benchmarks::{self, Benchmark};
 use crate::mode::MachineMode;
-use crate::runner::{run_compiled, CompileMemo, Observe, RunError};
+use crate::runner::{CompileMemo, RunError};
 use pc_compiler::CompileOptions;
 use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
 use pc_sim::RunStats;
@@ -678,16 +678,21 @@ fn scan_jsonl(path: &Path) -> (BTreeSet<String>, bool) {
 // The engine
 // ---------------------------------------------------------------------
 
-/// What a sweep resolves once per distinct (bench, mode) rather than
-/// once per cell.
-struct Program<'a> {
+/// What a sweep resolves once per distinct (bench, mode, mix) rather
+/// than once per cell. The other axes are runtime fields, so a group's
+/// cells share one compile target and one compile memo key (a cell that
+/// did not would fail with `SimError::TargetMismatch`, never run a stale
+/// image).
+struct Group<'a> {
     name: &'a str,
     mode: MachineMode,
+    mix: Mix,
     bench: &'a Benchmark,
-    source: &'a str,
     /// The hashed head of the cells' cache keys, when the sweep has a
     /// cache.
-    key: Option<KeyPrefix>,
+    prefix: Option<KeyPrefix>,
+    /// The group's compile memo key.
+    key: usize,
 }
 
 /// One cell's row, or its id with the error that failed it.
@@ -759,63 +764,43 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         Some(dir) => Some(ResultCache::open(dir)?),
         None => None,
     };
-    // Resolve each (bench, mode) once per sweep: its benchmark, source,
-    // and (with a cache) the hashed head of its cells' keys.
+    // One grouping pass: each (bench, mode, mix) resolves its benchmark,
+    // source, cache key prefix and compile memo key once, and each
+    // pending cell is counted on its group's key, so the key's image is
+    // freed after its last cell. Looking keys up per cell would hash the
+    // source for every cell, warm hits included.
     let suite = benchmarks::all();
-    let mut programs: Vec<Program> = Vec::new();
-    let mut program_of = Vec::with_capacity(pending.len());
-    for cell in &pending {
-        let known = programs
-            .iter()
-            .position(|p| p.mode == cell.mode && p.name == cell.bench);
-        program_of.push(known.unwrap_or_else(|| {
+    let mut memo = CompileMemo::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut runs: Vec<(&SweepCell, usize)> = Vec::with_capacity(pending.len());
+    for cell in pending {
+        let same = |g: &Group| g.mode == cell.mode && g.mix == cell.mix && g.name == cell.bench;
+        let g = groups.iter().position(same).unwrap_or_else(|| {
             let bench = suite
                 .iter()
                 .find(|b| b.name.to_lowercase() == cell.bench)
                 .expect("cells() validated benchmark names");
             let source = bench.source(cell.mode).expect("cells() filtered modes");
-            programs.push(Program {
+            groups.push(Group {
                 name: &cell.bench,
                 mode: cell.mode,
+                mix: cell.mix,
                 bench,
-                source,
-                key: cache
+                prefix: cache
                     .as_ref()
                     .map(|_| KeyPrefix::new(&cell.bench, cell.mode, source)),
+                key: memo.key(
+                    source,
+                    cell.mode.schedule_mode(),
+                    CompileOptions::default(),
+                    &cell.config(),
+                ),
             });
-            programs.len() - 1
-        }));
+            groups.len() - 1
+        });
+        memo.expect(groups[g].key);
+        runs.push((cell, g));
     }
-    // Plan the compile memo: one key per distinct (bench, mode, mix),
-    // counted once per pending cell so each image is freed after its
-    // key's last cell. Looking keys up per cell would hash the source
-    // for every cell, warm hits included. The other axes are runtime
-    // fields, so a key's cells share its compile target (a cell that
-    // did not would fail with `SimError::TargetMismatch`, never run a
-    // stale image).
-    let mut memo = CompileMemo::new();
-    let mut keys: Vec<(usize, Mix, usize)> = Vec::new();
-    let pending: Vec<(&SweepCell, usize, usize)> = pending
-        .into_iter()
-        .zip(program_of)
-        .map(|(cell, i)| {
-            let key = match keys.iter().find(|k| k.0 == i && k.1 == cell.mix) {
-                Some(k) => k.2,
-                None => {
-                    let key = memo.key(
-                        programs[i].source,
-                        cell.mode.schedule_mode(),
-                        CompileOptions::default(),
-                        &cell.config(),
-                    );
-                    keys.push((i, cell.mix, key));
-                    key
-                }
-            };
-            memo.expect(key);
-            (cell, i, key)
-        })
-        .collect();
 
     let mut sink: Option<std::io::BufWriter<std::fs::File>> = match &opts.out {
         Some(path) => {
@@ -842,17 +827,17 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
     let tel: Option<Arc<SweepTelemetry>> =
         (opts.telemetry || opts.progress || opts.metrics_out.is_some()).then(|| {
             Arc::new(SweepTelemetry::new(
-                jobs.clamp(1, pending.len().max(1)),
-                pending.len(),
+                jobs.clamp(1, runs.len().max(1)),
+                runs.len(),
             ))
         });
     let tel_ref = tel.as_deref();
-    let run_cell = |&(cell, i, compile_key): &(&SweepCell, usize, usize)| -> CellResult {
-        let program = &programs[i];
+    let run_cell = |&(cell, g): &(&SweepCell, usize)| -> CellResult {
+        let group = &groups[g];
         let config = cell.config();
         let t0 = Instant::now();
-        let claim = memo.claim(compile_key);
-        let key = program.key.as_ref().map(|prefix| prefix.key(&config));
+        let claim = memo.claim(group.key);
+        let key = group.prefix.as_ref().map(|prefix| prefix.key(&config));
         if let (Some(cache), Some(key)) = (&cache, &key) {
             let hit = cache.lookup(key);
             let lookup_ns = t0.elapsed().as_nanos() as u64;
@@ -877,7 +862,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         } else if let Some(t) = tel_ref {
             t.cache_misses.inc();
         }
-        let (image, compile_ns) = claim.image();
+        let (out, compile_ns) = claim.run(group.bench, config);
         if let Some(t) = tel_ref {
             match compile_ns {
                 Some(ns) => {
@@ -887,9 +872,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
                 None => t.compile_reuses.inc(),
             }
         }
-        let out = image
-            .and_then(|image| run_compiled(program.bench, &image, config, &Observe::default()))
-            .map_err(|e| (cell.id(), e))?;
+        let out = out.map_err(|e| (cell.id(), e))?;
+        let peak_registers = out.image.peak_registers;
         if let (Some(cache), Some(key)) = (&cache, &key) {
             // A failed store must not fail the sweep — the result is in
             // hand; the next run simply recomputes.
@@ -899,7 +883,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
                 &cell.id(),
                 &CachedResult {
                     stats: out.stats.clone(),
-                    peak_registers: out.peak_registers,
+                    peak_registers,
                 },
             );
             if let Some(t) = tel_ref {
@@ -912,7 +896,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         Ok(SweepRow {
             cell: cell.clone(),
             stats: out.stats,
-            peak_registers: out.peak_registers,
+            peak_registers,
             cached: false,
             wall_ns: t0.elapsed().as_nanos() as u64,
         })
@@ -967,11 +951,11 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
 
     // The pool delivers rows in cell order; each is written and flushed
     // as it lands. Writing stops at the first failure of any kind.
-    let mut rows: Vec<SweepRow> = Vec::with_capacity(pending.len());
+    let mut rows: Vec<SweepRow> = Vec::with_capacity(runs.len());
     let mut panic = None;
     let mut failure: Option<SweepError> = None;
     run_pool(
-        &pending,
+        &runs,
         jobs,
         run_cell,
         |_, outcome| match outcome {

@@ -6,8 +6,9 @@
 //! compiled once per call for every cell that shares its compile target
 //! (see [`pc_isa::MachineConfig::compile_target`] and the runner's
 //! compile memo). `pcsim sweep`, perfbench and the simcore bench run
-//! grids through [`run_sweep`]; the experiment harness shares only the
-//! [`pool`] (through [`try_par_map`]) and the compile memo.
+//! grids through [`run_sweep`]; the experiment harness shares the
+//! [`pool`] (through [`try_par_map`]), the compile memo and its per-run
+//! step (claim the key, build or reuse its image, run it).
 //!
 //! - [`pool`] — a block-stealing pool (each worker walks its own
 //!   contiguous block from the front; an idle worker steals one item

@@ -132,7 +132,7 @@ fn shared_compiles_match_per_cell_runs_across_every_runtime_axis() {
                 .unwrap();
             let out = run_benchmark(bench, cell.mode, cell.config())
                 .unwrap_or_else(|e| panic!("{}: {e}", cell.id()));
-            row_line(cell.id(), out.peak_registers, &out.stats)
+            row_line(cell.id(), out.image.peak_registers, &out.stats)
         })
         .collect();
     for jobs in [1, 4] {

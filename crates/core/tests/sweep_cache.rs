@@ -101,6 +101,29 @@ fn cache_key_is_stable_across_processes() {
     );
 }
 
+/// Stale hits: a change to what compiles and runs produce moves one of
+/// the output goldens, and must also retire every cached entry.
+#[test]
+fn goldens_move_only_with_the_cache_schema() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let mut text = Vec::new();
+    for name in ["compile", "tables", "explain_matrix", "explain_matrix_bus"] {
+        let path = dir.join(format!("{name}.txt"));
+        text.extend(std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display())));
+    }
+    let digest = coupling::sweep::cache::sha256_hex(&text);
+    assert_eq!(
+        digest,
+        coupling::sweep::cache::GOLDENS_SHA256,
+        "tests/golden moved, so cached results may be stale. If the change \
+         alters what a run computes, bump CACHE_SCHEMA_VERSION \
+         (crates/core/src/sweep/cache.rs), update the key pinned in \
+         cache_key_is_stable_across_processes and regenerate the committed \
+         entry crates/core/tests/fixtures/fft-coupled-triport-mem1.json. \
+         Then set GOLDENS_SHA256 to {digest}."
+    );
+}
+
 /// A cache entry as the sweep wrote it for
 /// `fft/coupled/triport/mem1/base/s0`, committed so that key derivation
 /// and the entry format cannot drift without every existing cache going

@@ -20,9 +20,6 @@ impl fmt::Display for ThreadId {
 pub enum ThreadState {
     /// Fetching and issuing operations.
     Running,
-    /// Current row fully issued; waiting for its branch to resolve before
-    /// fetching the next row.
-    WaitBranch,
     /// Terminated (explicit `halt` or fell off the end of its segment).
     Halted,
 }

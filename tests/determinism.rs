@@ -45,7 +45,7 @@ fn repeated_runs_are_bit_identical() {
             "{} {mode}: repeated runs diverged",
             bench.name
         );
-        assert_eq!(a.peak_registers, b.peak_registers);
+        assert_eq!(a.image.peak_registers, b.image.peak_registers);
     }
 }
 

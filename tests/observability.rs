@@ -218,7 +218,7 @@ fn source_attribution_conserves_machine_totals() {
                 &Observe::profiled(),
             )
             .unwrap();
-            let table = coupling::report::source_table(&out.stats, &out.debug);
+            let table = coupling::report::source_table(&out.stats, &out.image.debug);
             for cause in StallCause::ALL {
                 let machine: u64 = out
                     .stats
@@ -244,7 +244,7 @@ fn source_attribution_conserves_machine_totals() {
             );
             // The rendered report shows the same conserved totals.
             let report =
-                coupling::report::source_report(&out.stats, &out.debug, bench.source(mode));
+                coupling::report::source_report(&out.stats, &out.image.debug, bench.source(mode));
             assert!(
                 report.contains(&table.total_stalled().to_string()),
                 "{} {mode}: report lost the stall total\n{report}",
@@ -271,7 +271,7 @@ fn missing_debug_info_degrades_to_no_provenance_bucket() {
     assert_eq!(table.lines.len(), 1, "all counters collapse to one bucket");
     assert_eq!(table.lines[0].line, 0);
     assert_eq!(table.total_issued(), out.stats.ops_issued);
-    let with_debug = coupling::report::source_table(&out.stats, &out.debug);
+    let with_debug = coupling::report::source_table(&out.stats, &out.image.debug);
     assert_eq!(table.total_stalled(), with_debug.total_stalled());
     let report = coupling::report::source_report(&out.stats, &empty, None);
     assert!(report.contains("(no provenance)"), "{report}");
